@@ -768,8 +768,11 @@ let run_cmd =
              step. Cycle counts are $(i,not) comparable to the dense \
              machine — collection semantics are (checked by the \
              differential harness; see docs/PARALLEL.md). \
-             $(b,--par-domains) selects the bank count (default: auto; \
-             must divide the core count, exit code 2 otherwise). \
+             $(b,--par-domains) selects the bank count (default: the \
+             largest divisor of the core count that is at most 4, the same \
+             on every host; must divide the core count, exit code 2 \
+             otherwise); the host domains stepping the banks are chosen \
+             automatically and never change a result. \
              Incompatible with $(b,--engine naive/compiled), \
              $(b,--no-skip), $(b,--profile), $(b,--scan-unit), \
              $(b,--span-timeout) and checkpointing.")

@@ -105,12 +105,14 @@ let interfaces t =
 let default_partitions ~n_cores =
   max 1 (min n_cores (min max_partitions (Domain.recommended_domain_count ())))
 
+let max_default_banks = 4
+
 let default_banked_partitions ~n_cores =
-  (* Largest divisor of the core count not above the dense default: the
-     auto choice always passes [validate_banked]. *)
-  let cap = default_partitions ~n_cores in
+  (* The bank count is simulated hardware, so it is a fixed function of
+     the core count — never of the host. The largest divisor not above
+     [max_default_banks] always passes [validate_banked]. *)
   let rec down p = if n_cores mod p = 0 then p else down (p - 1) in
-  down cap
+  down (max 1 (min n_cores max_default_banks))
 
 let pp ppf t =
   Format.fprintf ppf "%d %s partition%s over %d core%s:" t.parts

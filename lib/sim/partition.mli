@@ -55,12 +55,17 @@ val max_partitions : int
 val default_partitions : n_cores:int -> int
 (** [Domain.recommended_domain_count ()] clamped to [1 .. n_cores] (and
     {!max_partitions}) — the [--par-domains] auto default for dense
-    plans. Banked plans must additionally divide the core count; use
+    plans, where the partition count is host lanes only and never
+    changes a simulated result. Banked plans are simulated hardware; use
     {!default_banked_partitions} there. *)
 
 val default_banked_partitions : n_cores:int -> int
-(** Largest divisor of [n_cores] that is [<= default_partitions] — the
-    auto default for banked plans; always passes {!validate_banked}. *)
+(** Largest divisor of [n_cores] that is [<= 4] — the
+    default bank count of the banked machine. It is a hardware constant:
+    unlike {!default_partitions} it never depends on the host, so the
+    same command simulates the same machine everywhere (the host lanes
+    that step the banks are chosen separately). Always passes
+    {!validate_banked}. *)
 
 val n_cores : t -> int
 val n_partitions : t -> int

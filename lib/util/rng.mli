@@ -51,9 +51,24 @@ val geometric : t -> p:float -> int
     probability [p] (support 0, 1, 2, ...; mean [(1-p)/p]).
     [p] must be in (0, 1]. *)
 
+type zipf = private float array
+(** A Zipf sampler: the cumulative weight table of one [(n, s)] pair.
+    Entry [k] is the harmonic partial sum [1/1^s + ... + 1/(k+1)^s],
+    accumulated in rank order. *)
+
+val zipf_table : n:int -> s:float -> zipf
+(** [zipf_table ~n ~s] builds the sampler for ranks [\[0, n)] and
+    exponent [s] — O(n) once, instead of on every draw. [n] must be
+    positive. *)
+
+val zipf_draw : t -> zipf -> int
+(** [zipf_draw t z] draws a rank from [z] by harmonic-sum inversion in
+    O(log n). It consumes exactly one {!float} draw (none when [n = 1])
+    and returns exactly what {!zipf} returns from the same state. *)
+
 val zipf : t -> n:int -> s:float -> int
 (** [zipf t ~n ~s] draws a rank in [\[0, n)] from a Zipf distribution with
-    exponent [s] (via inverse-CDF on a precomputed table is avoided; this
-    uses rejection sampling suitable for repeated draws with small [n],
-    and a harmonic-sum inversion otherwise). Used to model hot shared
-    objects (a few objects referenced by many). *)
+    exponent [s]: the one-shot form of [zipf_draw t (zipf_table ~n ~s)].
+    Used to model hot shared objects (a few objects referenced by many);
+    callers drawing repeatedly from one distribution should build the
+    table once. *)

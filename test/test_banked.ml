@@ -233,6 +233,31 @@ let test_determinism () =
         Alcotest.failf "heap snapshots differ at %d lanes vs 1" lanes)
     [ 1; 2; 8 ]
 
+(* The default bank count is simulated hardware: a fixed function of the
+   core count (largest divisor up to 4), whatever the host's domain
+   count; and at that default the host lanes change nothing. *)
+let test_default_banks_host_independent () =
+  List.iter
+    (fun (n_cores, banks) ->
+      Alcotest.(check int)
+        (Printf.sprintf "default banks for %d cores" n_cores)
+        banks
+        (Partition.default_banked_partitions ~n_cores))
+    [ (1, 1); (2, 2); (3, 3); (4, 4); (5, 1); (6, 3); (7, 1); (8, 4);
+      (9, 3); (12, 4); (16, 4); (24, 4); (32, 4) ];
+  let cfg = Coprocessor.config ~n_cores:16 () in
+  let banks = Partition.default_banked_partitions ~n_cores:16 in
+  let run lanes =
+    let heap = Workloads.build_heap ~scale:0.03 ~seed:11 Workloads.javac in
+    let g, s = Banked.collect ~lanes ~banks cfg heap in
+    ( Format.asprintf "%a@.%a" Banked.pp_stats (strip_stats s)
+        Verify.pp_snapshot (Verify.snapshot heap),
+      strip_wall g )
+  in
+  let text1, g1 = run 1 and text2, g2 = run 2 in
+  Alcotest.(check string) "banked stats at 1 and 2 lanes" text1 text2;
+  if g1 <> g2 then Alcotest.fail "gc_stats differ at 2 lanes vs 1"
+
 (* Any quantum yields the same final heap and live-set statistics;
    only the arbitration interleave's cycle accounting may shift. *)
 let test_quantum_invariance () =
@@ -337,6 +362,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_banked_equivalence;
     Alcotest.test_case "byte-determinism across lane counts" `Quick
       test_determinism;
+    Alcotest.test_case "default bank count is host-independent" `Quick
+      test_default_banks_host_independent;
     Alcotest.test_case "quantum invariance of the final heap" `Quick
       test_quantum_invariance;
     Alcotest.test_case "sanitizer silence in strict mode" `Quick

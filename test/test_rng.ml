@@ -141,6 +141,59 @@ let test_zipf_single () =
   let r = Rng.create 43 in
   Alcotest.(check int) "n=1 always 0" 0 (Rng.zipf r ~n:1 ~s:1.0)
 
+(* The closed-form draw: rebuild the harmonic sum, draw one float, scan
+   the partial sums. The tabled sampler must match it draw for draw and
+   leave the generator in the same state. *)
+let zipf_closed_form t ~n ~s =
+  if n = 1 then 0
+  else begin
+    let h = ref 0.0 in
+    for k = 1 to n do
+      h := !h +. (1.0 /. Float.pow (float_of_int k) s)
+    done;
+    let u = Rng.float t !h in
+    let rec find k acc =
+      if k > n then n - 1
+      else
+        let acc = acc +. (1.0 /. Float.pow (float_of_int k) s) in
+        if u < acc then k - 1 else find (k + 1) acc
+    in
+    find 1 0.0
+  end
+
+let test_zipf_table_identity () =
+  List.iter
+    (fun (n, s) ->
+      let table = Rng.zipf_table ~n ~s in
+      (* Bit-identical partial sums: a table summed in another order or
+         with another formula rounds differently, which the draws below
+         would almost never reveal. *)
+      let h = ref 0.0 in
+      for k = 1 to n do
+        h := !h +. (1.0 /. Float.pow (float_of_int k) s);
+        let entry = (table :> float array).(k - 1) in
+        if Int64.bits_of_float entry <> Int64.bits_of_float !h then
+          Alcotest.failf "n=%d s=%g: table entry %d is %h, closed form %h" n s
+            (k - 1) entry !h
+      done;
+      for seed = 1 to 120 do
+        let a = Rng.create seed and b = Rng.create seed and c = Rng.create seed in
+        for draw = 1 to 64 do
+          let want = zipf_closed_form a ~n ~s in
+          let got = Rng.zipf_draw b table and one_shot = Rng.zipf c ~n ~s in
+          if
+            got <> want || one_shot <> want
+            || Rng.state b <> Rng.state a
+            || Rng.state c <> Rng.state a
+          then
+            Alcotest.failf
+              "n=%d s=%g seed %d draw %d: closed form %d, tabled %d, one-shot \
+               %d (or generator states differ)"
+              n s seed draw want got one_shot
+        done
+      done)
+    [ (256, 0.8); (8, 1.6); (10, 1.5); (1, 1.0) ]
+
 let qcheck_int_in_bounds =
   QCheck.Test.make ~name:"rng int always within bound" ~count:500
     QCheck.(pair small_int (int_range 1 1_000_000))
@@ -179,6 +232,8 @@ let suite =
     Alcotest.test_case "zipf range" `Quick test_zipf_range;
     Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
     Alcotest.test_case "zipf single" `Quick test_zipf_single;
+    Alcotest.test_case "zipf table matches closed form" `Quick
+      test_zipf_table_identity;
     QCheck_alcotest.to_alcotest qcheck_int_in_bounds;
     QCheck_alcotest.to_alcotest qcheck_deterministic;
   ]
