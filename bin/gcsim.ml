@@ -10,7 +10,6 @@
 module Workloads = Hsgc_objgraph.Workloads
 module Mutator = Hsgc_objgraph.Mutator
 module Coprocessor = Hsgc_coproc.Coprocessor
-module Bsp = Hsgc_coproc.Bsp
 module Banked = Hsgc_coproc.Banked
 module Partition = Hsgc_sim.Partition
 module Domain_pool = Hsgc_sim.Domain_pool
@@ -211,10 +210,10 @@ let engine_arg =
            differ. $(b,--no-skip) is the documented alias for \
            $(b,--engine naive), and $(b,--profile) implies it unless an \
            engine is named. $(b,--engine compiled) rejects \
-           $(b,--sanitize), $(b,--profile), $(b,--par-domains) and \
-           $(b,--scan-unit) (exit code 2).")
+           $(b,--sanitize), $(b,--profile) and $(b,--scan-unit) (exit \
+           code 2).")
 
-let resolve_engine ~engine ~no_skip ~profile ~sanitize ~par_domains ~scan_unit =
+let resolve_engine ~engine ~no_skip ~profile ~sanitize ~scan_unit =
   let reject what =
     Format.eprintf "gcsim run: %s@." what;
     exit 2
@@ -237,10 +236,6 @@ let resolve_engine ~engine ~no_skip ~profile ~sanitize ~par_domains ~scan_unit =
       reject "--engine compiled is incompatible with --sanitize (the \
               compiled engine resolves the sanitizer hooks away at \
               instantiation; use --engine skip or naive)";
-    if par_domains <> None then
-      reject "--engine compiled is incompatible with --par-domains (the \
-              compiled engine steps the machine on one domain; use \
-              --engine skip for the BSP parallel kernel)";
     if scan_unit > 0 then
       reject "--engine compiled is incompatible with --scan-unit \
               (sub-object scanning uses the general engine)";
@@ -325,9 +320,62 @@ let require_workload = function
        can omit it: the snapshot records the workload)@.";
     exit 2
 
+let make_profiler ~profile ~n_cores =
+  if profile then begin
+    let p = Profiler.create ~n_cores () in
+    Profiler.enable p;
+    Some p
+  end
+  else None
+
+(* The report tail of every finished [gcsim run], whichever path ran the
+   collection: statistics (plus the banked machine's own), the profile
+   table, the sanitizer verdict, then heap verification against [pre].
+   Returns the process exit code. *)
+let report_run ~header ?banked ?prof ~sanitize ~pre heap
+    (stats : Coprocessor.gc_stats) =
+  print_endline header;
+  print_stats stats;
+  Option.iter (fun b -> Format.printf "%a@." Banked.pp_stats b) banked;
+  (match prof with
+  | None -> ()
+  | Some p ->
+    print_newline ();
+    print_string (Report.profile_table ~total:stats.Coprocessor.total_cycles p));
+  if sanitize <> Hsgc_sanitizer.Sanitizer.Off then
+    if stats.Coprocessor.sanitizer_findings = [] then
+      print_endline "sanitizer           OK (no findings)"
+    else
+      prerr_endline
+        (Report.sanitizer_findings ~total:stats.Coprocessor.sanitizer_total
+           stats.Coprocessor.sanitizer_findings);
+  if stats.Coprocessor.sanitizer_findings <> [] then exit_sanitizer
+  else
+    match pre with
+    | None -> 0
+    | Some pre -> (
+      match Verify.check_collection ~pre heap with
+      | Ok () ->
+        print_endline "verification        OK (graph isomorphic, compacted)";
+        0
+      | Error f ->
+        Format.eprintf "verification FAILED: %a@." Verify.pp_failure f;
+        exit_verify_failed)
+
+(* A collection that the watchdog or the strict sanitizer aborts ends
+   the run with that failure's exit code instead of a report. *)
+let collect_or_exit collect report =
+  match collect () with
+  | exception Coprocessor.Stall_diagnosis d ->
+    prerr_endline (Report.stall_diagnosis d);
+    exit_stalled
+  | exception Hsgc_sanitizer.Diag.Violation d ->
+    Format.eprintf "sanitizer VIOLATION: %s@." (Hsgc_sanitizer.Diag.to_string d);
+    exit_sanitizer
+  | result -> report result
+
 let run_with_checkpoints ~workload ~n_cores ~scale ~seed ~mem ~scan_unit
-    ~verify ~engine ~cycle_budget ~profile ~par_domains ~span_timeout
-    ~ckpt_every ~ckpt_dir ~resume_from =
+    ~verify ~engine ~cycle_budget ~profile ~ckpt_every ~ckpt_dir ~resume_from =
   (match (ckpt_every, ckpt_dir) with
   | Some _, None ->
     Format.eprintf "gcsim run: --checkpoint-every needs --checkpoint-dir@.";
@@ -339,37 +387,27 @@ let run_with_checkpoints ~workload ~n_cores ~scale ~seed ~mem ~scan_unit
   (match ckpt_dir with
   | Some d when not (Sys.file_exists d) -> Sys.mkdir d 0o755
   | _ -> ());
-  let resumed =
-    match resume_from with
-    | None -> None
-    | Some path -> (
-      match Resume.resume ~path () with
-      | r -> Some r
-      | exception Checkpoint.Corrupt msg ->
-        Format.eprintf "gcsim run: cannot resume from %s: %s@." path msg;
-        exit exit_snapshot)
-  in
   let sim, cfg, meta, heap, pre, prof =
-    match resumed with
-    | Some r ->
+    match resume_from with
+    | Some path ->
+      let r =
+        match Resume.resume ~path () with
+        | r -> r
+        | exception Checkpoint.Corrupt msg ->
+          Format.eprintf "gcsim run: cannot resume from %s: %s@." path msg;
+          exit exit_snapshot
+      in
       Printf.printf "resumed workload %s at cycle %d from %s\n"
         r.Resume.meta.Resume.workload
         (Coprocessor.now r.Resume.sim)
-        (Option.get resume_from);
+        path;
       (r.Resume.sim, r.Resume.cfg, r.Resume.meta, r.Resume.heap, r.Resume.pre,
        r.Resume.prof)
     | None ->
       let workload = require_workload workload in
       let heap = Workloads.build_heap ~scale ~seed workload in
       let pre = Verify.snapshot heap in
-      let prof =
-        if profile then begin
-          let p = Profiler.create ~n_cores () in
-          Profiler.enable p;
-          Some p
-        end
-        else None
-      in
+      let prof = make_profiler ~profile ~n_cores in
       let cfg =
         Coprocessor.config ~mem
           ?scan_unit:(scan_unit_opt scan_unit)
@@ -381,7 +419,6 @@ let run_with_checkpoints ~workload ~n_cores ~scale ~seed ~mem ~scan_unit
           Resume.workload = workload.Workloads.name;
           scale;
           seed;
-          partitions = 1;
           obs_on = false;
           obs_capacity = 0;
           obs_interval = 0;
@@ -390,29 +427,6 @@ let run_with_checkpoints ~workload ~n_cores ~scale ~seed ~mem ~scan_unit
       in
       (Coprocessor.start ?prof cfg heap, cfg, meta, heap, pre, prof)
   in
-  let eff_cores = cfg.Coprocessor.n_cores in
-  (match par_domains with
-  | None -> ()
-  | Some p -> (
-    match Partition.validate ~n_cores:eff_cores ~n_partitions:p with
-    | Ok () -> ()
-    | Error msg ->
-      Format.eprintf "gcsim run: --par-domains: %s@." msg;
-      exit 2));
-  let partitions =
-    (* The compiled engine steps the machine on one domain (its batched
-       segments subsume the BSP exclusive spans); naive stepping keeps
-       every core due every cycle, degenerating BSP to leader-only. *)
-    if (not cfg.Coprocessor.skip) || cfg.Coprocessor.compiled then 1
-    else
-      match par_domains with
-      | Some p -> p
-      | None -> (
-        match resumed with
-        | Some r -> r.Resume.meta.Resume.partitions
-        | None -> Partition.default_partitions ~n_cores:eff_cores)
-  in
-  let meta = { meta with Resume.partitions } in
   (* A signal ends the run at the next cycle boundary with a final
      checkpoint, then exits with the conventional 128+signal code. *)
   let stop_signal = ref None in
@@ -425,7 +439,7 @@ let run_with_checkpoints ~workload ~n_cores ~scale ~seed ~mem ~scan_unit
   match
     Resume.drive ?every:ckpt_every ?dir:ckpt_dir
       ~should_stop:(fun () -> !stop_signal <> None)
-      ?span_timeout_s:span_timeout ~partitions ~meta sim
+      ~meta sim
   with
   | exception Coprocessor.Stall_diagnosis d ->
     prerr_endline (Report.stall_diagnosis d);
@@ -444,44 +458,23 @@ let run_with_checkpoints ~workload ~n_cores ~scale ~seed ~mem ~scan_unit
       | Some p -> Printf.sprintf "; checkpoint written to %s" p
       | None -> "");
     if terminated then 143 else 130
-  | Resume.Finished (stats, bsp) -> (
-    Printf.printf "workload %s, %d cores\n" meta.Resume.workload eff_cores;
-    print_stats stats;
-    (match bsp with
-    | None -> ()
-    | Some b ->
-      Printf.printf "parallel kernel     %d partitions: %s\n" partitions
-        (Format.asprintf "%a" Bsp.pp_stats b);
-      (match b.Bsp.degraded with
-      | Some reason ->
-        Format.eprintf
-          "gcsim run: warning: parallel kernel degraded to leader-only \
-           stepping: %s@."
-          reason
-      | None -> ()));
-    (match prof with
-    | None -> ()
-    | Some p ->
-      print_newline ();
-      print_string (Report.profile_table ~total:stats.Coprocessor.total_cycles p));
-    if not verify then 0
-    else
-      match Verify.check_collection ~pre heap with
-      | Ok () ->
-        print_endline "verification        OK (graph isomorphic, compacted)";
-        0
-      | Error f ->
-        Format.eprintf "verification FAILED: %a@." Verify.pp_failure f;
-        exit_verify_failed)
+  | Resume.Finished stats ->
+    report_run
+      ~header:
+        (Printf.sprintf "workload %s, %d cores" meta.Resume.workload
+           cfg.Coprocessor.n_cores)
+      ?prof ~sanitize:Hsgc_sanitizer.Sanitizer.Off
+      ~pre:(if verify then Some pre else None)
+      heap stats
 
 (* The banked machine is its own run path: every non-default engine or
-   observation mode is either meaningless for it (BSP span supervision,
-   checkpoints of per-bank machines) or has no banked variant (the
-   compiled engine, sub-object scanning, the profiler) — reject them
-   up front with a usage error rather than silently ignoring them. *)
+   observation mode is either meaningless for it (checkpoints of
+   per-bank machines) or has no banked variant (the compiled engine,
+   sub-object scanning, the profiler) — reject them up front with a
+   usage error rather than silently ignoring them. *)
 let run_banked ~workload ~n_cores ~scale ~seed ~mem ~scan_unit ~verify ~engine
-    ~no_skip ~cycle_budget ~sanitize ~profile ~par_domains ~span_timeout
-    ~ckpt_every ~ckpt_dir ~resume_from ~bank_quantum =
+    ~no_skip ~cycle_budget ~sanitize ~profile ~banks ~ckpt_every ~ckpt_dir
+    ~resume_from ~bank_quantum =
   let reject msg =
     Format.eprintf "gcsim run: %s@." msg;
     exit 2
@@ -493,189 +486,82 @@ let run_banked ~workload ~n_cores ~scale ~seed ~mem ~scan_unit ~verify ~engine
     reject "--banked is incompatible with --profile (no banked profiler)";
   if scan_unit_opt scan_unit <> None then
     reject "--banked is incompatible with --scan-unit";
-  if span_timeout <> None then
-    reject "--banked is incompatible with --span-timeout (no BSP spans)";
   if ckpt_every <> None || ckpt_dir <> None || resume_from <> None then
     reject
       "--banked is incompatible with checkpointing (per-bank machines are \
        not snapshottable)";
   let banks =
-    match par_domains with
-    | Some p -> (
-      match Partition.validate_banked ~n_cores ~n_partitions:p with
-      | Ok () -> p
-      | Error msg -> reject ("--par-domains: " ^ msg))
+    match banks with
+    | Some b -> (
+      match Partition.validate_banked ~n_cores ~n_partitions:b with
+      | Ok () -> b
+      | Error msg -> reject ("--banks: " ^ msg))
     | None -> Partition.default_banked_partitions ~n_cores
   in
   let workload = require_workload workload in
   let heap = Workloads.build_heap ~scale ~seed workload in
   let pre = if verify then Some (Verify.snapshot heap) else None in
   let cfg = Coprocessor.config ~mem ?cycle_budget ~sanitize ~n_cores () in
-  match Banked.collect ?quantum:bank_quantum ~banks cfg heap with
-  | exception Coprocessor.Stall_diagnosis d ->
-    prerr_endline (Report.stall_diagnosis d);
-    exit_stalled
-  | exception Hsgc_sanitizer.Diag.Violation d ->
-    Format.eprintf "sanitizer VIOLATION: %s@." (Hsgc_sanitizer.Diag.to_string d);
-    exit_sanitizer
-  | stats, bstats ->
-    Printf.printf "workload %s, %d cores (banked)\n" workload.Workloads.name
-      n_cores;
-    print_stats stats;
-    Format.printf "%a@." Banked.pp_stats bstats;
-    if sanitize <> Hsgc_sanitizer.Sanitizer.Off then
-      if stats.Coprocessor.sanitizer_findings = [] then
-        print_endline "sanitizer           OK (no findings)"
-      else
-        prerr_endline
-          (Report.sanitizer_findings ~total:stats.Coprocessor.sanitizer_total
-             stats.Coprocessor.sanitizer_findings);
-    if stats.Coprocessor.sanitizer_findings <> [] then exit_sanitizer
-    else
-      match pre with
-      | None -> 0
-      | Some pre -> (
-        match Verify.check_collection ~pre heap with
-        | Ok () ->
-          print_endline "verification        OK (graph isomorphic, compacted)";
-          0
-        | Error f ->
-          Format.eprintf "verification FAILED: %a@." Verify.pp_failure f;
-          exit_verify_failed)
+  collect_or_exit
+    (fun () -> Banked.collect ?quantum:bank_quantum ~banks cfg heap)
+    (fun (stats, bstats) ->
+      report_run
+        ~header:
+          (Printf.sprintf "workload %s, %d cores (banked)"
+             workload.Workloads.name n_cores)
+        ~banked:bstats ~sanitize ~pre heap stats)
 
 let run_cmd =
   let run workload n_cores scale seed extra_latency fifo bandwidth header_cache
-      scan_unit verify engine no_skip cycle_budget sanitize profile par_domains
-      span_timeout ckpt_every ckpt_dir resume_from banked bank_quantum =
+      scan_unit verify engine no_skip cycle_budget sanitize profile ckpt_every
+      ckpt_dir resume_from banked banks bank_quantum =
     let mem = mem_config extra_latency fifo bandwidth header_cache in
     if banked then
       run_banked ~workload ~n_cores ~scale ~seed ~mem ~scan_unit ~verify
-        ~engine ~no_skip ~cycle_budget ~sanitize ~profile ~par_domains
-        ~span_timeout ~ckpt_every ~ckpt_dir ~resume_from ~bank_quantum
+        ~engine ~no_skip ~cycle_budget ~sanitize ~profile ~banks ~ckpt_every
+        ~ckpt_dir ~resume_from ~bank_quantum
     else begin
-    if bank_quantum <> None then begin
-      Format.eprintf "gcsim run: --bank-quantum needs --banked@.";
-      exit 2
-    end;
-    let engine =
-      resolve_engine ~engine ~no_skip ~profile ~sanitize ~par_domains ~scan_unit
-    in
-    if ckpt_every <> None || ckpt_dir <> None || resume_from <> None then begin
-      if sanitize <> Hsgc_sanitizer.Sanitizer.Off then begin
-        Format.eprintf
-          "gcsim run: checkpointing is incompatible with --sanitize (the \
-           sanitizer's interned state is process-local)@.";
+      if banks <> None || bank_quantum <> None then begin
+        Format.eprintf "gcsim run: --%s needs --banked@."
+          (if banks <> None then "banks" else "bank-quantum");
         exit 2
       end;
-      run_with_checkpoints ~workload ~n_cores ~scale ~seed ~mem ~scan_unit
-        ~verify ~engine ~cycle_budget ~profile ~par_domains ~span_timeout
-        ~ckpt_every ~ckpt_dir ~resume_from
-    end
-    else
-    let workload = require_workload workload in
-    let heap = Workloads.build_heap ~scale ~seed workload in
-    let pre = if verify then Some (Verify.snapshot heap) else None in
-    let prof =
-      if profile then begin
-        let p = Profiler.create ~n_cores () in
-        Profiler.enable p;
-        Some p
-      end
-      else None
-    in
-    (* --profile forces naive stepping so the printed attribution can be
-       read directly against executed cycles (every row sums to them);
-       all statistics are bit-identical under any engine by the kernel's
-       parity contract, only wall time changes. *)
-    let skip = engine <> Naive in
-    (* An explicit --par-domains must be a valid partition count for
-       this core count even when naive stepping then forces the
-       single-partition schedule. *)
-    (match par_domains with
-    | None -> ()
-    | Some p -> (
-      match Partition.validate ~n_cores ~n_partitions:p with
-      | Ok () -> ()
-      | Error msg ->
-        Format.eprintf "gcsim run: --par-domains: %s@." msg;
-        exit 2));
-    let partitions =
-      (* Naive stepping keeps every core due every cycle, so the BSP
-         schedule would degenerate to leader-only stepping anyway; the
-         compiled engine's batched segments subsume the BSP exclusive
-         spans. Both take the direct path. *)
-      if engine <> Skip then 1
-      else
-        match par_domains with
-        | Some p -> p
-        | None -> Partition.default_partitions ~n_cores
-    in
-    let cfg =
-      Coprocessor.config ~mem
-        ?scan_unit:(scan_unit_opt scan_unit)
-        ?cycle_budget ~sanitize ~skip ~compiled:(engine = Compiled) ~n_cores ()
-    in
-    let bsp_stats = ref None in
-    let collect_once () =
-      if partitions <= 1 then Coprocessor.collect ?prof cfg heap
-      else begin
-        let stats, b =
-          Bsp.collect_par ?prof ?span_timeout_s:span_timeout ~partitions cfg
-            heap
-        in
-        bsp_stats := Some b;
-        stats
-      end
-    in
-    match collect_once () with
-    | exception Coprocessor.Stall_diagnosis d ->
-      prerr_endline (Report.stall_diagnosis d);
-      exit_stalled
-    | exception Hsgc_sanitizer.Diag.Violation d ->
-      (* --sanitize=strict aborts the collection at the first finding. *)
-      Format.eprintf "sanitizer VIOLATION: %s@." (Hsgc_sanitizer.Diag.to_string d);
-      exit_sanitizer
-    | stats -> (
-      Printf.printf "workload %s, %d cores\n" workload.Workloads.name n_cores;
-      print_stats stats;
-      (match !bsp_stats with
-      | None -> ()
-      | Some b ->
-        Printf.printf "parallel kernel     %d partitions: %s\n" partitions
-          (Format.asprintf "%a" Bsp.pp_stats b);
-        (match b.Bsp.degraded with
-        | Some reason ->
+      let engine =
+        resolve_engine ~engine ~no_skip ~profile ~sanitize ~scan_unit
+      in
+      if ckpt_every <> None || ckpt_dir <> None || resume_from <> None then begin
+        if sanitize <> Hsgc_sanitizer.Sanitizer.Off then begin
           Format.eprintf
-            "gcsim run: warning: parallel kernel degraded to leader-only \
-             stepping: %s@."
-            reason
-        | None -> ()));
-      (match prof with
-      | None -> ()
-      | Some p ->
-        print_newline ();
-        print_string
-          (Report.profile_table ~total:stats.Coprocessor.total_cycles p));
-      if sanitize <> Hsgc_sanitizer.Sanitizer.Off then
-        if stats.Coprocessor.sanitizer_findings = [] then
-          print_endline "sanitizer           OK (no findings)"
-        else begin
-          prerr_endline
-            (Report.sanitizer_findings ~total:stats.Coprocessor.sanitizer_total
-               stats.Coprocessor.sanitizer_findings)
+            "gcsim run: checkpointing is incompatible with --sanitize (the \
+             sanitizer's interned state is process-local)@.";
+          exit 2
         end;
-      if stats.Coprocessor.sanitizer_findings <> [] then exit_sanitizer
+        run_with_checkpoints ~workload ~n_cores ~scale ~seed ~mem ~scan_unit
+          ~verify ~engine ~cycle_budget ~profile ~ckpt_every ~ckpt_dir
+          ~resume_from
+      end
       else
-        match pre with
-        | None -> 0
-        | Some pre -> (
-          match Verify.check_collection ~pre heap with
-          | Ok () ->
-            print_endline "verification        OK (graph isomorphic, compacted)";
-            0
-          | Error f ->
-            Format.eprintf "verification FAILED: %a@." Verify.pp_failure f;
-            exit_verify_failed))
+        let workload = require_workload workload in
+        let heap = Workloads.build_heap ~scale ~seed workload in
+        let pre = if verify then Some (Verify.snapshot heap) else None in
+        let prof = make_profiler ~profile ~n_cores in
+        (* --profile forces naive stepping so the printed attribution can
+           be read directly against executed cycles (every row sums to
+           them); all statistics are bit-identical under any engine by
+           the kernel's parity contract, only wall time changes. *)
+        let cfg =
+          Coprocessor.config ~mem
+            ?scan_unit:(scan_unit_opt scan_unit)
+            ?cycle_budget ~sanitize ~skip:(engine <> Naive)
+            ~compiled:(engine = Compiled) ~n_cores ()
+        in
+        collect_or_exit
+          (fun () -> Coprocessor.collect ?prof cfg heap)
+          (report_run
+             ~header:
+               (Printf.sprintf "workload %s, %d cores" workload.Workloads.name
+                  n_cores)
+             ?prof ~sanitize ~pre heap)
     end
   in
   let profile_arg =
@@ -688,34 +574,6 @@ let run_cmd =
              lands in exactly one of busy / the seven stall categories / \
              idle, so each row sums to the executed cycle count (naive \
              stepping is forced; statistics are bit-identical either way).")
-  in
-  let par_domains_arg =
-    Arg.(
-      value
-      & opt (some (positive_conv "par-domains")) None
-      & info [ "par-domains" ] ~docv:"N"
-          ~doc:
-            "Step the machine as $(docv) BSP partitions (one pool lane \
-             each). The default is auto: the runtime's recommended domain \
-             count clamped to the core count. Every statistic, verify \
-             result and trace digest is bit-identical at any value (see \
-             docs/PARALLEL.md). Must be between 1 and the core count. \
-             Interaction: $(b,--profile) and $(b,--no-skip) force naive \
-             stepping, under which every core is due every cycle and the \
-             BSP schedule degenerates to leader-only stepping — gcsim \
-             takes the direct sequential path there.")
-  in
-  let span_timeout_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "span-timeout" ] ~docv:"SECONDS"
-          ~doc:
-            "Supervise parallel span dispatch: a worker lane that has not \
-             finished its span after $(docv) seconds of wall clock is \
-             abandoned (the lane is poisoned) and the run degrades to \
-             leader-only stepping with a warning — still completing with \
-             bit-identical results — instead of hanging the process.")
   in
   let ckpt_every_arg =
     Arg.(
@@ -768,14 +626,23 @@ let run_cmd =
              step. Cycle counts are $(i,not) comparable to the dense \
              machine — collection semantics are (checked by the \
              differential harness; see docs/PARALLEL.md). \
-             $(b,--par-domains) selects the bank count (default: the \
+             $(b,--banks) selects the bank count; the host domains \
+             stepping the banks are chosen automatically and never change \
+             a result. Incompatible with $(b,--engine naive/compiled), \
+             $(b,--no-skip), $(b,--profile), $(b,--scan-unit) and \
+             checkpointing.")
+  in
+  let banks_arg =
+    Arg.(
+      value
+      & opt (some (positive_conv "banks")) None
+      & info [ "banks" ] ~docv:"N"
+          ~doc:
+            "Bank count of the $(b,--banked) machine. The default is the \
              largest divisor of the core count that is at most 4, the same \
-             on every host; must divide the core count, exit code 2 \
-             otherwise); the host domains stepping the banks are chosen \
-             automatically and never change a result. \
-             Incompatible with $(b,--engine naive/compiled), \
-             $(b,--no-skip), $(b,--profile), $(b,--scan-unit), \
-             $(b,--span-timeout) and checkpointing.")
+             on every host. Must divide the core count (exit code 2 \
+             otherwise). The bank count is simulated hardware, so it \
+             changes cycle counts. Needs $(b,--banked).")
   in
   let bank_quantum_arg =
     Arg.(
@@ -794,9 +661,8 @@ let run_cmd =
       const run $ workload_opt_arg $ cores_arg $ scale_arg $ seed_arg
       $ latency_arg $ fifo_arg $ bandwidth_arg $ header_cache_arg
       $ scan_unit_arg $ verify_arg $ engine_arg $ no_skip_arg $ cycle_budget_arg
-      $ sanitize_arg $ profile_arg $ par_domains_arg $ span_timeout_arg
-      $ ckpt_every_arg $ ckpt_dir_arg $ resume_from_arg $ banked_arg
-      $ bank_quantum_arg)
+      $ sanitize_arg $ profile_arg $ ckpt_every_arg $ ckpt_dir_arg
+      $ resume_from_arg $ banked_arg $ banks_arg $ bank_quantum_arg)
 
 let sweep_cmd =
   let run workload scale seed extra_latency fifo bandwidth header_cache verify
@@ -1223,9 +1089,9 @@ let bench_cmd =
           ~doc:
             "Compare against a committed BENCH_sim.json and fail (exit code 3) \
              on a >20% regression of any host-independent metric: skipped \
-             fraction, minor words per cycle, latency-bound skip speedup, the \
-             BSP kernel's exclusive-span fraction, and the banked machine's \
-             modeled-cycle ratio and remote-request fraction. Absolute \
+             fraction, minor words per cycle, latency-bound skip speedup, \
+             and the banked machine's modeled-cycle ratio and \
+             remote-request fraction. Absolute \
              Mcycles/s and the wall-clock speedups are never gated — they \
              depend on the host (the banked self-speedup floor arms only on \
              hosts with at least 4 recommended domains).")

@@ -1549,37 +1549,6 @@ let core_next_wake t ~core =
       let w = port_wake c t.mem ~now in
       if w = max_int then None else Some w
 
-(* BSP superstep scheduling support ({!Bsp}). Which partitions own a
-   core that is due at the current cycle, and the earliest cycle any
-   core outside one partition can next act. Both are pure reads of the
-   per-core wake fields maintained by [maybe_sleep]: a due core has
-   [wake <= now], a sleeping core's armed wake is frozen until it is
-   stepped again, and a halted core is pinned at [max_int]. *)
-
-let n_cores t = Array.length t.cores
-let skip_enabled t = t.cfg.skip
-
-let awake_partition_mask t ~owner =
-  let n0 = now t in
-  let cores = t.cores in
-  let m = ref 0 in
-  for i = 0 to Array.length cores - 1 do
-    let c = Array.unsafe_get cores i in
-    if c.wake <= n0 then m := !m lor (1 lsl Array.unsafe_get owner i)
-  done;
-  !m
-
-let min_wake_outside t ~owner ~partition =
-  let cores = t.cores in
-  let w = ref max_int in
-  for i = 0 to Array.length cores - 1 do
-    if Array.unsafe_get owner i <> partition then begin
-      let c = Array.unsafe_get cores i in
-      if c.wake < !w then w := c.wake
-    end
-  done;
-  !w
-
 let step_general ?trace ?horizon t =
   let n0 = now t in
   Mem.begin_cycle t.mem ~now:n0;

@@ -322,28 +322,6 @@ val core_next_wake : sim -> core:int -> int option
     another agent. Exposed for property tests of the no-overshoot
     contract. *)
 
-val n_cores : sim -> int
-(** Core count of the running machine ([config.n_cores]). *)
-
-val skip_enabled : sim -> bool
-(** Whether event-driven scheduling is on ([config.skip]); with it off
-    every core is due every cycle, so a BSP schedule degenerates to
-    leader-only stepping ({!Bsp}). *)
-
-val awake_partition_mask : sim -> owner:int array -> int
-(** One bit per partition ([owner.(core) = partition], from a
-    {!Hsgc_sim.Partition} plan): bit [p] is set iff some core owned by
-    [p] is due at the current cycle ([wake <= now]). Halted cores are
-    never due. A pure read — calling it does not advance or perturb the
-    machine. *)
-
-val min_wake_outside : sim -> owner:int array -> partition:int -> int
-(** Earliest wake time over every core {e not} owned by [partition] —
-    [max_int] when all of them have halted (or the partition owns every
-    core). While those cores sleep their armed wakes are frozen, so
-    until this cycle the machine's due set is confined to [partition]:
-    the exclusive-span horizon of the BSP scheduler ({!Bsp}). *)
-
 val sanitizer_findings : sim -> Hsgc_sanitizer.Diag.t list
 (** Kept sanitizer findings so far (mid-run peek; the final list is in
     {!gc_stats}). *)

@@ -1,10 +1,10 @@
 (** Deterministic checkpoint/restore driver — crash-safe long runs.
 
-    Steps a collection (sequentially or under the BSP scheduler) with
-    every step horizon-capped at the next checkpoint boundary, writes an
-    atomic CRC-guarded snapshot ({!Hsgc_checkpoint.Checkpoint}) exactly
-    at each boundary, and reconstructs a machine from any such snapshot
-    so the run continues bit-identically.
+    Steps a collection with every step horizon-capped at the next
+    checkpoint boundary, writes an atomic CRC-guarded snapshot
+    ({!Hsgc_checkpoint.Checkpoint}) exactly at each boundary, and
+    reconstructs a machine from any such snapshot so the run continues
+    bit-identically.
 
     The horizon cap can only split the kernel's fast-forwards, so the
     executed/skipped split is the {e only} statistic checkpointing
@@ -27,7 +27,6 @@ type meta = {
   workload : string;
   scale : float;
   seed : int;
-  partitions : int;  (** writer's BSP partition count (informational) *)
   obs_on : bool;
   obs_capacity : int;
   obs_interval : int;
@@ -71,8 +70,8 @@ val postmortem_name : string
 (** File name of the watchdog post-mortem snapshot ([postmortem.ckpt]). *)
 
 type outcome =
-  | Finished of Hsgc_coproc.Coprocessor.gc_stats * Hsgc_coproc.Bsp.stats option
-      (** ran to completion ([finalize]d); BSP stats when [partitions > 1] *)
+  | Finished of Hsgc_coproc.Coprocessor.gc_stats
+      (** ran to completion ([finalize]d) *)
   | Stopped of { at_cycle : int; checkpoint : string option }
       (** [should_stop]/[stop_at] ended the run early; [checkpoint] is
           the final snapshot written (when checkpointing is on) *)
@@ -82,9 +81,6 @@ val drive :
   ?dir:string ->
   ?stop_at:int ->
   ?should_stop:(unit -> bool) ->
-  ?span_timeout_s:float ->
-  ?fail_hook:(int -> unit) ->
-  partitions:int ->
   meta:meta ->
   Hsgc_coproc.Coprocessor.sim ->
   outcome
@@ -93,8 +89,6 @@ val drive :
     exact: steps are horizon-capped so [now] lands on the boundary).
     [should_stop] is polled between steps (signal handlers set a flag);
     [stop_at] is the chaos campaign's deterministic in-process kill.
-    Both end the run with a final checkpoint and [Stopped].
-    [partitions > 1] drives the machine through {!Hsgc_coproc.Bsp} with
-    worker supervision ([span_timeout_s]/[fail_hook] as in
-    {!Hsgc_coproc.Bsp.start}). If the watchdog trips, a post-mortem
-    snapshot is written to [dir] before [Stall_diagnosis] propagates. *)
+    Both end the run with a final checkpoint and [Stopped]. If the
+    watchdog trips, a post-mortem snapshot is written to [dir] before
+    [Stall_diagnosis] propagates. *)

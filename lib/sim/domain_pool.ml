@@ -1,6 +1,6 @@
 (* Shared parallel runtime: one persistent domain pool implementation
    behind every parallel surface of the simulator — experiment sweeps,
-   chaos campaigns, and the BSP kernel's superstep dispatch.
+   chaos campaigns, and the banked machine's per-bank superstep lanes.
 
    A [Pool.t] owns [lanes - 1] worker domains parked on a per-lane
    mutex/condvar cell; lane 0 is always the calling domain. Work is
@@ -26,10 +26,6 @@ module Pool = struct
     mutable done_ : bool;  (* job finished, result not yet reaped *)
     mutable failed : exn option;
     mutable stop : bool;
-    mutable poisoned : bool;
-        (* a supervised wait timed out and abandoned the outstanding
-           job: the worker domain may still be running it, so the lane
-           accepts no further work and shutdown must not join it *)
   }
 
   type t = {
@@ -76,7 +72,6 @@ module Pool = struct
             done_ = false;
             failed = None;
             stop = false;
-            poisoned = false;
           })
     in
     let workers = Array.map (fun c -> Domain.spawn (fun () -> worker_loop c)) cells in
@@ -92,8 +87,6 @@ module Pool = struct
         (Printf.sprintf "Domain_pool.Pool.post: lane %d out of range 1..%d" lane
            (t.lanes - 1));
     let c = t.cells.(lane - 1) in
-    if c.poisoned then
-      invalid_arg "Domain_pool.Pool.post: lane was poisoned by a timed-out job";
     Mutex.lock c.mutex;
     if c.busy then begin
       Mutex.unlock c.mutex;
@@ -123,53 +116,6 @@ module Pool = struct
     c.failed <- None;
     Mutex.unlock c.mutex;
     match failed with Some e -> raise e | None -> ()
-
-  (* Supervised reap: poll for completion with a wall-clock deadline.
-     The stdlib [Condition] has no timed wait, so the caller spins on
-     [cpu_relax] between checks — acceptable because a supervising
-     leader has nothing else to do, and the poll holds the mutex only
-     for a field read per iteration. On timeout the job is {e
-     abandoned}, not cancelled: OCaml domains cannot be killed, so the
-     lane is poisoned (takes no further work, is not joined at
-     shutdown) and the caller is expected to stop sharing state with
-     it and degrade. *)
-  let try_wait t ~lane ~timeout_s =
-    check_open t "try_wait";
-    let c = t.cells.(lane - 1) in
-    Mutex.lock c.mutex;
-    if not c.busy then begin
-      Mutex.unlock c.mutex;
-      invalid_arg "Domain_pool.Pool.try_wait: lane has no outstanding job"
-    end;
-    let deadline =
-      Int64.add (Monotonic_clock.now ())
-        (Int64.of_float (timeout_s *. 1e9))
-    in
-    let rec poll () =
-      if c.done_ then begin
-        let failed = c.failed in
-        c.busy <- false;
-        c.done_ <- false;
-        c.failed <- None;
-        Mutex.unlock c.mutex;
-        match failed with Some e -> `Failed e | None -> `Done
-      end
-      else if Monotonic_clock.now () >= deadline then begin
-        c.poisoned <- true;
-        Mutex.unlock c.mutex;
-        `Timed_out
-      end
-      else begin
-        Mutex.unlock c.mutex;
-        Domain.cpu_relax ();
-        Mutex.lock c.mutex;
-        poll ()
-      end
-    in
-    poll ()
-
-  let poisoned t ~lane =
-    lane >= 1 && lane < t.lanes && t.cells.(lane - 1).poisoned
 
   let run_on t ~lane f =
     if lane = 0 then f ()
@@ -206,13 +152,7 @@ module Pool = struct
           Condition.broadcast c.cond;
           Mutex.unlock c.mutex)
         t.cells;
-      (* A poisoned lane's worker may be stuck in an abandoned job and
-         never observe [stop]; joining it would hang the shutdown. If it
-         does finish, it sees [stop] on its next loop and exits on its
-         own — the process just won't wait for it. *)
-      Array.iteri
-        (fun i w -> if not t.cells.(i).poisoned then Domain.join w)
-        t.workers
+      Array.iter Domain.join t.workers
     end
 
   let with_pool ~lanes f =

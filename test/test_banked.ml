@@ -58,28 +58,26 @@ let test_banking_validate () =
   | Ok () -> Alcotest.fail "8/3 accepted")
 
 let test_banking_plan () =
-  let p = Partition.banking ~n_cores:8 ~n_partitions:4 in
-  Alcotest.(check int) "cores" 8 (Partition.n_cores p);
-  Alcotest.(check int) "banks" 4 (Partition.n_partitions p);
-  (match Partition.kind p with
-  | Partition.Banked -> ()
-  | Partition.Dense -> Alcotest.fail "banking plan is Dense");
-  for q = 0 to 3 do
-    let lo, hi = Partition.range p ~partition:q in
-    Alcotest.(check int) (Printf.sprintf "bank %d size" q) 2 (hi - lo)
-  done;
-  (* The only cross-bank interface is the header FIFO. *)
-  Alcotest.(check (list string))
-    "interfaces" [ "header-fifo" ]
-    (List.map Partition.interface_name (Partition.interfaces p));
-  Alcotest.(check (list string))
-    "single bank shares nothing" []
-    (List.map Partition.interface_name
-       (Partition.interfaces (Partition.banking ~n_cores:4 ~n_partitions:1)));
+  let cfg = Coprocessor.config ~n_cores:8 () in
+  let heap () = Workloads.build_heap ~scale:0.02 ~seed:5 Workloads.db in
+  (* 8 cores in 4 banks is four equal 2-core machines. *)
+  let _, s = Banked.collect ~lanes:1 ~banks:4 cfg (heap ()) in
+  Alcotest.(check int) "banks" 4 (Array.length s.Banked.per_bank);
+  Array.iteri
+    (fun q (b : Coprocessor.gc_stats) ->
+      Alcotest.(check int)
+        (Printf.sprintf "bank %d size" q)
+        2
+        (Array.length b.Coprocessor.per_core))
+    s.Banked.per_bank;
+  (* The only cross-bank interface is the header-FIFO arbitration step,
+     so a single bank routes nothing through it. *)
+  let _, one = Banked.collect ~lanes:1 ~banks:1 cfg (heap ()) in
+  Alcotest.(check int) "single bank routes nothing" 0 one.Banked.remote_requests;
   (* Invalid pairs raise. *)
-  (match Partition.banking ~n_cores:8 ~n_partitions:3 with
+  (match Banked.collect ~banks:3 cfg (heap ()) with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "banking 8/3 did not raise");
+  | _ -> Alcotest.fail "banked 8/3 did not raise");
   (* The auto default always validates and divides. *)
   List.iter
     (fun n_cores ->

@@ -5,7 +5,7 @@
    latest snapshot must end in the same final state (verify result,
    total cycles, per-core counters, trace digest) as a run that was
    never interrupted, for every default workload across the core grid,
-   with or without fault injection, under sequential or BSP stepping. *)
+   with or without fault injection. *)
 
 module Coprocessor = Hsgc_coproc.Coprocessor
 module Workloads = Hsgc_objgraph.Workloads
@@ -50,7 +50,6 @@ let write_midrun_checkpoint ~dir =
       Resume.workload = w.Workloads.name;
       scale = 0.05;
       seed = 42;
-      partitions = 1;
       obs_on = false;
       obs_capacity = 0;
       obs_interval = 0;
@@ -135,7 +134,6 @@ let test_fingerprint_mismatch_refused () =
       Resume.workload = w.Workloads.name;
       scale = 0.05;
       seed = 1;
-      partitions = 1;
       obs_on = false;
       obs_capacity = 0;
       obs_interval = 0;
@@ -178,14 +176,13 @@ let test_checkpoint_boundaries_exact () =
       Resume.workload = w.Workloads.name;
       scale = 0.05;
       seed = 42;
-      partitions = 1;
       obs_on = false;
       obs_capacity = 0;
       obs_interval = 0;
       prof_on = false;
     }
   in
-  (match Resume.drive ~every ~dir ~partitions:1 ~meta sim with
+  (match Resume.drive ~every ~dir ~meta sim with
   | Resume.Finished _ -> ()
   | Resume.Stopped _ -> Alcotest.fail "run stopped without a stop condition");
   let files = Sys.readdir dir in
@@ -222,19 +219,16 @@ let test_drive_off_matches_collect () =
       Resume.workload = w.Workloads.name;
       scale = 0.05;
       seed = 4;
-      partitions = 1;
       obs_on = false;
       obs_capacity = 0;
       obs_interval = 0;
       prof_on = false;
     }
   in
-  match Resume.drive ~partitions:1 ~meta sim with
+  match Resume.drive ~meta sim with
   | Resume.Stopped _ -> Alcotest.fail "stopped without a stop condition"
-  | Resume.Finished (stats, None) ->
+  | Resume.Finished stats ->
     Test_kernel.check_stats_equal "drive-off vs collect" reference stats
-  | Resume.Finished (_, Some _) ->
-    Alcotest.fail "sequential drive reported BSP stats"
 
 (* ------------------------------------------------------------------ *)
 (* Resume equivalence                                                  *)
@@ -250,22 +244,16 @@ let check_point_result (r : Interrupt.point_result) ctx =
   if r.Interrupt.checkpoints < 1 then
     Alcotest.failf "%s: no checkpoints written before the kill" ctx
 
-(* Every default workload across the core grid, sequential and BSP
-   stepping: kill at a deterministic random cycle, resume, demand the
-   final state is indistinguishable from an uninterrupted run's. *)
+(* Every default workload across the core grid: kill at a deterministic
+   random cycle, resume, demand the final state is indistinguishable
+   from an uninterrupted run's. *)
 let test_resume_equivalence_grid () =
   List.iter
     (fun w ->
       List.iter
         (fun n_cores ->
           let p =
-            {
-              Interrupt.workload = w.Workloads.name;
-              n_cores;
-              partitions = min 4 n_cores;
-              seed = 42;
-              draw = 0;
-            }
+            { Interrupt.workload = w.Workloads.name; n_cores; seed = 42; draw = 0 }
           in
           let r = Interrupt.run_point ~scale:0.05 p in
           check_point_result r
@@ -300,7 +288,6 @@ let test_resume_with_faults_and_scan_unit () =
       Resume.workload = w.Workloads.name;
       scale;
       seed;
-      partitions = 1;
       obs_on = true;
       obs_capacity = capacity;
       obs_interval = interval;
@@ -311,7 +298,7 @@ let test_resume_with_faults_and_scan_unit () =
   let killed =
     let heap = Workloads.build_heap ~scale ~seed w in
     let sim = Coprocessor.start ~obs:(mk_obs ()) cfg heap in
-    Resume.drive ~every:(max 1 (stop_at / 2)) ~dir ~stop_at ~partitions:1 ~meta
+    Resume.drive ~every:(max 1 (stop_at / 2)) ~dir ~stop_at ~meta
       sim
   in
   match killed with
@@ -320,9 +307,9 @@ let test_resume_with_faults_and_scan_unit () =
     Alcotest.fail "no final checkpoint"
   | Resume.Stopped { checkpoint = Some path; _ } -> (
     let r = Resume.resume ~path () in
-    match Resume.drive ~partitions:1 ~meta:r.Resume.meta r.Resume.sim with
+    match Resume.drive ~meta:r.Resume.meta r.Resume.sim with
     | Resume.Stopped _ -> Alcotest.fail "resumed run stopped"
-    | Resume.Finished (stats, _) ->
+    | Resume.Finished stats ->
       Alcotest.(check int) "total cycles" total stats.Coprocessor.total_cycles;
       if stats.Coprocessor.per_core <> base_stats.Coprocessor.per_core then
         Alcotest.fail "per-core counters differ after faulted resume";
@@ -338,7 +325,7 @@ let test_resume_with_faults_and_scan_unit () =
         Alcotest.failf "resumed heap failed verification: %a" Verify.pp_failure
           f)
 
-(* qcheck leg: random workload, seed, kill draw and partition count. *)
+(* qcheck leg: random workload, seed and kill draw. *)
 let qcheck_resume_equivalence =
   QCheck.Test.make
     ~name:
@@ -346,26 +333,18 @@ let qcheck_resume_equivalence =
        ends bit-identical to an uninterrupted run"
     ~count:12
     (QCheck.make
-       ~print:(fun (wi, seed, draw, parts) ->
-         Printf.sprintf "workload=%d seed=%d draw=%d partitions=%d" wi seed
-           draw parts)
+       ~print:(fun (wi, seed, draw) ->
+         Printf.sprintf "workload=%d seed=%d draw=%d" wi seed draw)
        QCheck.Gen.(
          let* wi = int_range 0 (List.length Workloads.all - 1) in
          let* seed = int_range 0 1000 in
          let* draw = int_range 0 5 in
-         let* parts = oneofl [ 1; 2; 4 ] in
-         return (wi, seed, draw, parts)))
-    (fun (wi, seed, draw, parts) ->
+         return (wi, seed, draw)))
+    (fun (wi, seed, draw) ->
       let w = List.nth Workloads.all wi in
       let r =
         Interrupt.run_point ~scale:0.03
-          {
-            Interrupt.workload = w.Workloads.name;
-            n_cores = 4;
-            partitions = parts;
-            seed;
-            draw;
-          }
+          { Interrupt.workload = w.Workloads.name; n_cores = 4; seed; draw }
       in
       r.Interrupt.equivalent
       && r.Interrupt.corrupt_caught = r.Interrupt.corrupt_flips)

@@ -7,6 +7,7 @@ module Kernel = Hsgc_sim.Kernel
 module Wheel = Hsgc_sim.Wheel
 module Wake_queue = Hsgc_sim.Wake_queue
 module Domain_pool = Hsgc_sim.Domain_pool
+module Pool = Domain_pool.Pool
 module Coprocessor = Hsgc_coproc.Coprocessor
 module Counters = Hsgc_coproc.Counters
 module Concurrent = Hsgc_coproc.Concurrent
@@ -244,6 +245,61 @@ let test_pool_exception () =
           (Printf.sprintf "jobs=%d reports earliest failure" jobs)
           2 i)
     [ 1; 3 ]
+
+let test_pool_run () =
+  Pool.with_pool ~lanes:4 (fun pool ->
+      Alcotest.(check int) "lanes" 4 (Pool.lanes pool);
+      let hits = Array.make 4 0 in
+      (* Reusable across rounds: same pool, fresh work each time. *)
+      for _round = 1 to 3 do
+        Pool.run pool (fun lane -> hits.(lane) <- hits.(lane) + 1)
+      done;
+      Alcotest.(check (list int)) "every lane ran every round" [ 3; 3; 3; 3 ]
+        (Array.to_list hits);
+      let r = ref 0 in
+      Pool.run_on pool ~lane:0 (fun () -> r := 1);
+      Alcotest.(check int) "lane 0 runs inline" 1 !r;
+      Pool.run_on pool ~lane:3 (fun () -> r := 2);
+      Alcotest.(check int) "worker lane result visible" 2 !r)
+
+exception Lane_boom of int
+
+let test_pool_exceptions () =
+  Pool.with_pool ~lanes:4 (fun pool ->
+      (* Lowest failing lane wins deterministically. *)
+      (match
+         Pool.run pool (fun lane ->
+             if lane mod 2 = 1 then raise (Lane_boom lane))
+       with
+      | () -> Alcotest.fail "expected an exception"
+      | exception Lane_boom l ->
+        Alcotest.(check int) "lowest failing lane" 1 l);
+      (* The pool survives a failed round. *)
+      let ok = ref 0 in
+      Pool.run pool (fun _ -> incr ok);
+      (* [ok] is bumped by 4 lanes; leader increments are immediate,
+         worker increments ordered by the mutex hand-off. *)
+      Alcotest.(check int) "pool usable after failure" 4 !ok;
+      (match Pool.run_on pool ~lane:2 (fun () -> raise (Lane_boom 2)) with
+      | () -> Alcotest.fail "expected run_on to re-raise"
+      | exception Lane_boom l -> Alcotest.(check int) "run_on re-raises" 2 l));
+  (* with_pool shut the pool down. *)
+  let pool = Pool.create ~lanes:2 in
+  Pool.shutdown pool;
+  Pool.shutdown pool;
+  match Pool.run_on pool ~lane:1 (fun () -> ()) with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "run_on after shutdown must raise"
+
+let test_resolve_jobs () =
+  Alcotest.(check int) "explicit within limit" 3
+    (Domain_pool.resolve_jobs ~limit:10 3);
+  Alcotest.(check int) "explicit clamped" 4 (Domain_pool.resolve_jobs ~limit:4 99);
+  let auto = Domain_pool.resolve_jobs ~limit:4 0 in
+  if auto < 1 || auto > 4 then Alcotest.failf "auto out of range: %d" auto;
+  Alcotest.(check int) "limit floor" 1 (Domain_pool.resolve_jobs ~limit:0 0);
+  if Domain_pool.recommended_jobs () < 1 then
+    Alcotest.fail "recommended_jobs must be >= 1"
 
 (* ------------------------------------------------------------------ *)
 (* Idle-cycle skipping: exact equivalence with naive stepping          *)
@@ -637,6 +693,9 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_wakeq_matches_model;
     Alcotest.test_case "pool matches List.map" `Quick test_pool_matches_map;
     Alcotest.test_case "pool exception determinism" `Quick test_pool_exception;
+    Alcotest.test_case "pool run / run_on / reuse" `Quick test_pool_run;
+    Alcotest.test_case "pool exception discipline" `Quick test_pool_exceptions;
+    Alcotest.test_case "jobs resolution" `Quick test_resolve_jobs;
     QCheck_alcotest.to_alcotest qcheck_skip_equivalent;
     QCheck_alcotest.to_alcotest qcheck_skip_equivalent_with_faults;
     Alcotest.test_case "pieces accounting closes to zero" `Quick

@@ -30,7 +30,6 @@ let () =
       ("experiment", Test_experiment.suite);
       ("kernel", Test_kernel.suite);
       ("compiled", Test_compiled.suite);
-      ("bsp", Test_bsp.suite);
       ("banked", Test_banked.suite);
       ("checkpoint", Test_checkpoint.suite);
       ("fault", Test_fault.suite);
