@@ -182,64 +182,12 @@ let no_skip_arg =
     value & flag
     & info [ "no-skip" ]
         ~doc:
-          "Force naive cycle-by-cycle stepping: disables both idle-cycle \
-           skipping and event-driven core sleeps. The parity contract is \
-           that every statistic and artifact is bit-identical either way \
-           (only wall time changes); use this flag to check it on any \
-           configuration. Documented alias for $(b,--engine naive).")
-
-(* The three stepping engines (docs/PERFORMANCE.md). [--no-skip] and the
-   profile-forces-naive rule predate [--engine] and are kept as
-   documented aliases; contradictions exit 2. *)
-type engine = Naive | Skip | Compiled
-
-let engine_arg =
-  Arg.(
-    value
-    & opt (some (enum [ ("naive", Naive); ("skip", Skip); ("compiled", Compiled) ]))
-        None
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Stepping engine: $(b,naive) polls every core every cycle (the \
-           parity reference); $(b,skip) (the default) adds event-driven \
-           core sleeps and idle-cycle skipping; $(b,compiled) further \
-           specializes the per-cycle paths for the plain configuration and \
-           retires already-determined memory transactions in batches. All \
-           three produce bit-identical statistics, verify results and \
-           counters — only wall time and the executed/skipped split \
-           differ. $(b,--no-skip) is the documented alias for \
-           $(b,--engine naive), and $(b,--profile) implies it unless an \
-           engine is named. $(b,--engine compiled) rejects \
-           $(b,--sanitize), $(b,--profile) and $(b,--scan-unit) (exit \
-           code 2).")
-
-let resolve_engine ~engine ~no_skip ~profile ~sanitize ~scan_unit =
-  let reject what =
-    Format.eprintf "gcsim run: %s@." what;
-    exit 2
-  in
-  match engine with
-  | None -> if no_skip || profile then Naive else Skip
-  | Some Naive -> Naive
-  | Some Skip ->
-    if no_skip then reject "--engine skip contradicts --no-skip";
-    if profile then
-      reject "--engine skip contradicts --profile (profiling forces naive \
-              stepping so the attribution table sums to executed cycles)";
-    Skip
-  | Some Compiled ->
-    if no_skip then reject "--engine compiled contradicts --no-skip";
-    if profile then
-      reject "--engine compiled is incompatible with --profile (profiling \
-              forces naive stepping; use --engine naive)";
-    if sanitize <> Hsgc_sanitizer.Sanitizer.Off then
-      reject "--engine compiled is incompatible with --sanitize (the \
-              compiled engine resolves the sanitizer hooks away at \
-              instantiation; use --engine skip or naive)";
-    if scan_unit > 0 then
-      reject "--engine compiled is incompatible with --scan-unit \
-              (sub-object scanning uses the general engine)";
-    Compiled
+          "Force naive cycle-by-cycle stepping: disables idle-cycle \
+           skipping, event-driven core sleeps and the fast paths built on \
+           them. The parity contract is that every statistic and artifact \
+           is bit-identical either way (only wall time and the kernel's \
+           executed/skipped split change); use this flag to check it on \
+           any configuration.")
 
 let jobs_arg =
   Arg.(
@@ -375,7 +323,7 @@ let collect_or_exit collect report =
   | result -> report result
 
 let run_with_checkpoints ~workload ~n_cores ~scale ~seed ~mem ~scan_unit
-    ~verify ~engine ~cycle_budget ~profile ~ckpt_every ~ckpt_dir ~resume_from =
+    ~verify ~no_skip ~cycle_budget ~profile ~ckpt_every ~ckpt_dir ~resume_from =
   (match (ckpt_every, ckpt_dir) with
   | Some _, None ->
     Format.eprintf "gcsim run: --checkpoint-every needs --checkpoint-dir@.";
@@ -411,8 +359,7 @@ let run_with_checkpoints ~workload ~n_cores ~scale ~seed ~mem ~scan_unit
       let cfg =
         Coprocessor.config ~mem
           ?scan_unit:(scan_unit_opt scan_unit)
-          ?cycle_budget ~skip:(engine <> Naive)
-          ~compiled:(engine = Compiled) ~n_cores ()
+          ?cycle_budget ~skip:(not no_skip) ~n_cores ()
       in
       let meta =
         {
@@ -467,20 +414,18 @@ let run_with_checkpoints ~workload ~n_cores ~scale ~seed ~mem ~scan_unit
       ~pre:(if verify then Some pre else None)
       heap stats
 
-(* The banked machine is its own run path: every non-default engine or
-   observation mode is either meaningless for it (checkpoints of
-   per-bank machines) or has no banked variant (the compiled engine,
+(* The banked machine is its own run path: every non-default stepping
+   or observation mode is either meaningless for it (checkpoints of
+   per-bank machines) or has no banked variant (naive stepping,
    sub-object scanning, the profiler) — reject them up front with a
    usage error rather than silently ignoring them. *)
-let run_banked ~workload ~n_cores ~scale ~seed ~mem ~scan_unit ~verify ~engine
+let run_banked ~workload ~n_cores ~scale ~seed ~mem ~scan_unit ~verify
     ~no_skip ~cycle_budget ~sanitize ~profile ~banks ~ckpt_every ~ckpt_dir
     ~resume_from ~bank_quantum =
   let reject msg =
     Format.eprintf "gcsim run: %s@." msg;
     exit 2
   in
-  if engine <> None && engine <> Some Skip then
-    reject "--banked uses the event-driven engine (only --engine skip is valid)";
   if no_skip then reject "--banked is incompatible with --no-skip";
   if profile then
     reject "--banked is incompatible with --profile (no banked profiler)";
@@ -513,12 +458,12 @@ let run_banked ~workload ~n_cores ~scale ~seed ~mem ~scan_unit ~verify ~engine
 
 let run_cmd =
   let run workload n_cores scale seed extra_latency fifo bandwidth header_cache
-      scan_unit verify engine no_skip cycle_budget sanitize profile ckpt_every
+      scan_unit verify no_skip cycle_budget sanitize profile ckpt_every
       ckpt_dir resume_from banked banks bank_quantum =
     let mem = mem_config extra_latency fifo bandwidth header_cache in
     if banked then
       run_banked ~workload ~n_cores ~scale ~seed ~mem ~scan_unit ~verify
-        ~engine ~no_skip ~cycle_budget ~sanitize ~profile ~banks ~ckpt_every
+        ~no_skip ~cycle_budget ~sanitize ~profile ~banks ~ckpt_every
         ~ckpt_dir ~resume_from ~bank_quantum
     else begin
       if banks <> None || bank_quantum <> None then begin
@@ -526,9 +471,6 @@ let run_cmd =
           (if banks <> None then "banks" else "bank-quantum");
         exit 2
       end;
-      let engine =
-        resolve_engine ~engine ~no_skip ~profile ~sanitize ~scan_unit
-      in
       if ckpt_every <> None || ckpt_dir <> None || resume_from <> None then begin
         if sanitize <> Hsgc_sanitizer.Sanitizer.Off then begin
           Format.eprintf
@@ -537,7 +479,7 @@ let run_cmd =
           exit 2
         end;
         run_with_checkpoints ~workload ~n_cores ~scale ~seed ~mem ~scan_unit
-          ~verify ~engine ~cycle_budget ~profile ~ckpt_every ~ckpt_dir
+          ~verify ~no_skip ~cycle_budget ~profile ~ckpt_every ~ckpt_dir
           ~resume_from
       end
       else
@@ -545,15 +487,10 @@ let run_cmd =
         let heap = Workloads.build_heap ~scale ~seed workload in
         let pre = if verify then Some (Verify.snapshot heap) else None in
         let prof = make_profiler ~profile ~n_cores in
-        (* --profile forces naive stepping so the printed attribution can
-           be read directly against executed cycles (every row sums to
-           them); all statistics are bit-identical under any engine by
-           the kernel's parity contract, only wall time changes. *)
         let cfg =
           Coprocessor.config ~mem
             ?scan_unit:(scan_unit_opt scan_unit)
-            ?cycle_budget ~sanitize ~skip:(engine <> Naive)
-            ~compiled:(engine = Compiled) ~n_cores ()
+            ?cycle_budget ~sanitize ~skip:(not no_skip) ~n_cores ()
         in
         collect_or_exit
           (fun () -> Coprocessor.collect ?prof cfg heap)
@@ -572,8 +509,9 @@ let run_cmd =
             "Attach the stall-attribution profiler and print the per-core \
              cycle-accounting table: every simulated cycle of every core \
              lands in exactly one of busy / the seven stall categories / \
-             idle, so each row sums to the executed cycle count (naive \
-             stepping is forced; statistics are bit-identical either way).")
+             idle, so each row sums to the total cycle count (slept and \
+             skipped cycles are credited in bulk; the table is identical \
+             under $(b,--no-skip)).")
   in
   let ckpt_every_arg =
     Arg.(
@@ -628,8 +566,7 @@ let run_cmd =
              differential harness; see docs/PARALLEL.md). \
              $(b,--banks) selects the bank count; the host domains \
              stepping the banks are chosen automatically and never change \
-             a result. Incompatible with $(b,--engine naive/compiled), \
-             $(b,--no-skip), $(b,--profile), $(b,--scan-unit) and \
+             a result. Incompatible with $(b,--no-skip), $(b,--profile), $(b,--scan-unit) and \
              checkpointing.")
   in
   let banks_arg =
@@ -660,7 +597,7 @@ let run_cmd =
     Term.(
       const run $ workload_opt_arg $ cores_arg $ scale_arg $ seed_arg
       $ latency_arg $ fifo_arg $ bandwidth_arg $ header_cache_arg
-      $ scan_unit_arg $ verify_arg $ engine_arg $ no_skip_arg $ cycle_budget_arg
+      $ scan_unit_arg $ verify_arg $ no_skip_arg $ cycle_budget_arg
       $ sanitize_arg $ profile_arg $ ckpt_every_arg $ ckpt_dir_arg
       $ resume_from_arg $ banked_arg $ banks_arg $ bank_quantum_arg)
 

@@ -53,15 +53,6 @@ type config = {
          call sites reduce to one load-and-branch; [Check] records
          findings into [gc_stats]; [Strict] raises [Diag.Violation] on
          the first finding. *)
-  compiled : bool;
-      (* the compiled stepping engine: configuration-specialized fast
-         paths plus batched retirement on top of the event-driven
-         skipper. Requires [skip], [sanitize = Off] and
-         [scan_unit = None] (validated by [start]); with a fault plan,
-         tracer or profiler attached the machine silently falls back to
-         the general engine. All statistics stay bit-identical to
-         naive; only the wall clock and the executed/skipped split
-         move. *)
 }
 
 let default_stall_window = 1_000_000
@@ -77,12 +68,11 @@ let default_config =
     cycle_budget = None;
     stall_window = default_stall_window;
     sanitize = San.Off;
-    compiled = false;
   }
 
 let config ?(mem = Mem.default_config) ?scan_unit ?(skip = true) ?faults
     ?cycle_budget ?(stall_window = default_stall_window) ?(sanitize = San.Off)
-    ?(compiled = false) ~n_cores () =
+    ~n_cores () =
   {
     default_config with
     n_cores;
@@ -93,7 +83,6 @@ let config ?(mem = Mem.default_config) ?scan_unit ?(skip = true) ?faults
     cycle_budget;
     stall_window;
     sanitize;
-    compiled;
   }
 
 exception Heap_overflow
@@ -330,7 +319,7 @@ type core = {
      0 — always stepped); a sleeping core carries the wake time it armed
      in the wake queue; a halted core carries [max_int]. *)
   mutable wake : int;
-  (* Scan-lock spin parking (compiled engine only): while this core's
+  (* Scan-lock spin parking (fast path only): while this core's
      bit is set in [parked_mask], the first spin cycle not yet credited
      to its scan-lock stall counter. The stalls are bulk-credited when
      the holder's release wakes the core ([wake_parked]). *)
@@ -339,25 +328,28 @@ type core = {
 
 type t = {
   cfg : config;
-  (* The compiled engine is actually used (not just requested): no
-     fault plan, no tracer, no profiler. Determined once at [start];
-     a per-[step] trace still falls back dynamically. *)
-  compiled_hot : bool;
-  (* Deferred watchdog progress observation of the compiled exclusive
+  (* The fast path's guards hold (see "The fast path" below).
+     Determined once at [start]; a per-[step] trace still drops out of
+     it for that step. *)
+  fast : bool;
+  (* No hook, fault plan or tracer can observe a port: [tick_ports]
+     takes its inlined fast paths. *)
+  plain_ports : bool;
+  (* Deferred watchdog progress observation of the exclusive
      interpreter: the cycle of the latest progressed cycle not yet
      reported to the watchdog, or -1. Always flushed (-1) outside
      [step], so snapshots never see a pending deferral. *)
   mutable wd_defer : int;
-  (* Cores parked on the contended scan lock (compiled engine only), as
-     a bit per core id. A parked core is indistinguishable from the
-     per-cycle engines' spinner except in host work: its failed
+  (* Cores parked on the contended scan lock (fast path only), as
+     a bit per core id. A parked core is indistinguishable from a
+     per-cycle spinner except in host work: its failed
      [try_lock] retries read nothing another agent can change while the
      lock stays held, so they are replayed in bulk — the stall credit
      happens at the release that wakes it. Always empty outside the
-     compiled fast path ([unpark_all] flushes on any fallback), so the
-     general engine and snapshots never observe a parked core. *)
+     fast path ([unpark_all] flushes on any fallback), so per-cycle
+     stepping and snapshots never observe a parked core. *)
   mutable parked_mask : int;
-  (* Compiled-engine scratch (no per-cycle allocation): ids of the cores
+  (* Stepping scratch (no per-cycle allocation): ids of the cores
      due this cycle, and ids of the cores left awake for the next cycle
      (wake = now + 1 after stepping). The awake list bounds the quiet
      fast-forward scan and the bulk skip credit to the cores that can
@@ -1047,6 +1039,8 @@ let phase_of_state = function
   | Flush -> Obs.phase_flush
   | Halt -> Obs.phase_halt
 
+(* One core step, then the busy-cycle bump. Hook and tracer sites in
+   the step functions are one load-and-branch each when off. *)
 let step_core t core =
   (match core.state with
   | Init -> step_init t core
@@ -1079,38 +1073,12 @@ let start ?(obs = Obs.disabled) ?(prof = Prof.disabled) ?remote cfg heap =
     invalid_arg "Coprocessor.start: tracer sized for fewer cores";
   if prof.Prof.on && Prof.n_cores prof < cfg.n_cores then
     invalid_arg "Coprocessor.start: profiler sized for fewer cores";
-  (match remote with
-  | None -> ()
-  | Some _ ->
-    (* A bank of the banked machine: the compiled engine's specialized
-       body loop knows nothing of home ranges, and sub-object pieces
-       would split one object's slots across arbitration rounds. *)
-    if cfg.compiled then
-      invalid_arg
-        "Coprocessor.start: a banked-machine bank cannot use the compiled \
-         engine";
-    if cfg.scan_unit <> None then
-      invalid_arg
-        "Coprocessor.start: a banked-machine bank does not support \
-         sub-object scanning (scan_unit)");
-  if cfg.compiled then begin
-    (* The compiled engine is a specialization of the event-driven
-       skipper; configurations it cannot specialize are rejected here
-       (fault plans, tracers and profilers merely fall back to the
-       general engine instead — they are run-mode toggles, not machine
-       semantics). *)
-    if not cfg.skip then
-      invalid_arg
-        "Coprocessor.start: the compiled engine requires idle-cycle \
-         skipping (skip = true)";
-    if cfg.sanitize <> San.Off then
-      invalid_arg
-        "Coprocessor.start: the compiled engine cannot attach the sanitizer";
-    if cfg.scan_unit <> None then
-      invalid_arg
-        "Coprocessor.start: the compiled engine does not support \
-         sub-object scanning (scan_unit)"
-  end;
+  if Option.is_some remote && Option.is_some cfg.scan_unit then
+    (* Sub-object pieces would split one object's slots across
+       arbitration rounds of the banked machine. *)
+    invalid_arg
+      "Coprocessor.start: a banked-machine bank does not support \
+       sub-object scanning (scan_unit)";
   let faults =
     match cfg.faults with
     | None -> Injector.disabled
@@ -1137,11 +1105,14 @@ let start ?(obs = Obs.disabled) ?(prof = Prof.disabled) ?remote cfg heap =
   in
   {
     cfg;
-    compiled_hot =
-      cfg.compiled && cfg.faults = None && (not obs.Obs.on)
-      && (not prof.Prof.on)
+    fast =
+      cfg.skip && cfg.sanitize = San.Off && Option.is_none cfg.faults
+      && (not obs.Obs.on) && (not prof.Prof.on)
+      && Option.is_none cfg.scan_unit && Option.is_none remote
       (* The parked-core set is one bit per core in an OCaml int. *)
       && cfg.n_cores <= 62;
+    plain_ports =
+      cfg.sanitize = San.Off && Option.is_none cfg.faults && not obs.Obs.on;
     wd_defer = -1;
     parked_mask = 0;
     due_ids = Array.make cfg.n_cores 0;
@@ -1405,23 +1376,26 @@ let maybe_sleep t c ~now =
 (* Earliest future cycle at which any memory buffer can change status —
    the wake-up that bounds a whole-machine fast-forward. Sleeping cores
    are covered by the wake queue (their armed wake is the min of their
-   buffer wakes, frozen for the duration of the sleep); awake cores'
-   buffers are scanned directly. [max_int] means nothing is pending (a
-   would-be deadlock spins cycle by cycle, exactly as naive stepping
-   would, until the watchdog trips). Bails as soon as some buffer can
-   wake next cycle (no skip possible then). *)
-let next_wake_global t ~now =
+   buffer wakes, frozen for the duration of the sleep); the [count]
+   cores the cycle just stepped left awake ([t.awake_ids], wake =
+   [now + 1]) have their buffers scanned directly. Together they cover
+   every core that can act: after a cycle no core's wake is <= [now],
+   and a sleeper due at [now + 1] sits in the queue, which then answers
+   [now + 1] (no skip). Parked spinners have no wake of their own — the
+   release that frees them is an action of some awake or queued core.
+   [max_int] means nothing is pending (a would-be deadlock spins cycle
+   by cycle, exactly as naive stepping would, until the watchdog trips).
+   Bails as soon as some buffer can wake next cycle (no skip possible
+   then). *)
+let next_wake t ~now ~count =
   let best = ref (Wake_queue.next_after t.wakeq ~now) in
+  let ids = t.awake_ids and cores = t.cores in
   let limit = now + 1 in
-  let cores = t.cores in
-  let n = Array.length cores in
   let i = ref 0 in
-  while !i < n && !best > limit do
-    let c = Array.unsafe_get cores !i in
-    if c.wake <= limit then begin
-      let w = port_wake c t.mem ~now in
-      if w < !best then best := w
-    end;
+  while !i < count && !best > limit do
+    let c = Array.unsafe_get cores (Array.unsafe_get ids !i) in
+    let w = port_wake c t.mem ~now in
+    if w < !best then best := w;
     incr i
   done;
   !best
@@ -1436,67 +1410,32 @@ let cycle_was_quiet t ~scan0 ~free0 =
   !(t.events) = 0 && t.sb.SB.scan = scan0 && t.sb.SB.free = free0
 
 (* Credit the statistics that [span] identical replays of the
-   just-executed cycle would have accumulated for the cores that are
-   still awake: each stalled core bumps its stall category once per
+   just-executed cycle would have accumulated for the [count] cores it
+   left awake: each stalled core bumps its stall category once per
    cycle, set busy bits accrue busy cycles, an idle worklist accrues
    empty cycles, and every comparator-held header load is rejected once
    more each cycle. Sleeping cores were already credited through their
    whole sleep span when they went to sleep — and the fast-forward
    target never passes their wake, so there is no double count. *)
-let credit_skipped t ~cycle ~span ~empty_delta =
-  let cores = t.cores in
-  let limit = cycle + 1 in
-  for i = 0 to Array.length cores - 1 do
-    let c = Array.unsafe_get cores i in
-    if c.wake <= limit then begin
-      if c.stall_cycle = cycle then begin
-        Counters.bump_n c.counters c.stall_kind span;
-        if t.obs.Obs.on then
-          Obs.stall_run t.obs ~core:c.id
-            ~kind:(stall_index c.stall_kind)
-            ~cycle:limit ~span
-      end;
-      (* Profiler: the skipped cycles replay the just-executed one, so
-         each awake core repeats the bucket it was attributed there. *)
-      if t.prof.Prof.on then
-        Prof.add t.prof ~core:c.id
-          ~bucket:
-            (if c.stall_cycle = cycle then 1 + stall_index c.stall_kind
-             else prof_bucket_of_state c.state)
-          span;
-      if t.sb.SB.busy.(c.id) then
-        c.counters.busy_cycles <- c.counters.busy_cycles + span;
-      if Port.order_held c.hl t.mem then Mem.add_rejected_order t.mem span
-    end
-  done;
-  t.empty_cycles <- t.empty_cycles + (span * empty_delta)
-
-(* Compiled-engine variants of the two whole-array jump scans, bounded
-   to the awake list the fused cycle just built ([t.awake_ids], cores
-   whose wake is [now + 1]). The sets coincide: after a fused cycle no
-   core's wake is <= [now], sleeping cores (wake > now + 1) are covered
-   by the wake queue and were bulk-credited when they slept, and a jump
-   only happens when every queued wake is past [now + 1]. Tracer and
-   profiler branches are dropped — the compiled fast path requires both
-   detached. *)
-let next_wake_awake t ~now ~count =
-  let best = ref (Wake_queue.next_after t.wakeq ~now) in
-  let ids = t.awake_ids and cores = t.cores in
-  let limit = now + 1 in
-  let i = ref 0 in
-  while !i < count && !best > limit do
-    let c = Array.unsafe_get cores (Array.unsafe_get ids !i) in
-    let w = port_wake c t.mem ~now in
-    if w < !best then best := w;
-    incr i
-  done;
-  !best
-
-let credit_awake t ~cycle ~span ~empty_delta ~count =
+let credit_skipped t ~cycle ~span ~empty_delta ~count =
   let ids = t.awake_ids and cores = t.cores in
   for i = 0 to count - 1 do
     let c = Array.unsafe_get cores (Array.unsafe_get ids i) in
-    if c.stall_cycle = cycle then Counters.bump_n c.counters c.stall_kind span;
+    if c.stall_cycle = cycle then begin
+      Counters.bump_n c.counters c.stall_kind span;
+      if t.obs.Obs.on then
+        Obs.stall_run t.obs ~core:c.id
+          ~kind:(stall_index c.stall_kind)
+          ~cycle:(cycle + 1) ~span
+    end;
+    (* Profiler: the skipped cycles replay the just-executed one, so
+       each awake core repeats the bucket it was attributed there. *)
+    if t.prof.Prof.on then
+      Prof.add t.prof ~core:c.id
+        ~bucket:
+          (if c.stall_cycle = cycle then 1 + stall_index c.stall_kind
+           else prof_bucket_of_state c.state)
+        span;
     if t.sb.SB.busy.(c.id) then
       c.counters.busy_cycles <- c.counters.busy_cycles + span;
     if Port.order_held c.hl t.mem then Mem.add_rejected_order t.mem span
@@ -1549,267 +1488,128 @@ let core_next_wake t ~core =
       let w = port_wake c t.mem ~now in
       if w = max_int then None else Some w
 
-let step_general ?trace ?horizon t =
-  let n0 = now t in
-  Mem.begin_cycle t.mem ~now:n0;
-  (* Stamp the shared hook record so diagnostics and sanitizer findings
-     raised anywhere this cycle carry the cycle number. *)
-  t.hooks.Hooks.cycle <- n0;
-  if t.obs.Obs.on then t.obs.Obs.cycle <- n0;
-  let scan0 = t.sb.SB.scan and free0 = t.sb.SB.free in
-  t.events := 0;
-  let cores = t.cores in
-  let n = Array.length cores in
-  (* Static prioritization: buffers retry, then cores execute, both in
-     core-index order — the lowest index wins simultaneous claims, and a
-     lock released by an earlier core is acquirable by a later core in
-     the same cycle. Sleeping cores are skipped entirely: none of their
-     buffers can transition before their wake, and their rejected
-     retries were bulk-credited when they went to sleep. *)
-  for i = 0 to n - 1 do
-    let c = Array.unsafe_get cores i in
-    if c.wake <= n0 then begin
-      (* [Port.tick] is a no-op unless the buffer is retrying acceptance
-         or an in-flight transfer just completed; checking status here
-         with direct field reads keeps the by-far-most-common idle case
-         free of the cross-module call. *)
-      let p = c.hl in
-      let st = p.Port.st in
-      if st = Port.st_waiting || (st = Port.st_in_flight && p.Port.done_at <= n0)
-      then Port.tick p t.mem ~now:n0;
-      let p = c.hs in
-      let st = p.Port.st in
-      if st = Port.st_waiting || (st = Port.st_in_flight && p.Port.done_at <= n0)
-      then Port.tick p t.mem ~now:n0;
-      let p = c.bl in
-      let st = p.Port.st in
-      if st = Port.st_waiting || (st = Port.st_in_flight && p.Port.done_at <= n0)
-      then Port.tick p t.mem ~now:n0;
-      let p = c.bs in
-      let st = p.Port.st in
-      if st = Port.st_waiting || (st = Port.st_in_flight && p.Port.done_at <= n0)
-      then Port.tick p t.mem ~now:n0
-    end
-  done;
-  t.saw_empty <- false;
-  let awake_next = ref 0 in
-  let skip = t.cfg.skip in
-  for i = 0 to n - 1 do
-    let c = Array.unsafe_get cores i in
-    if c.wake <= n0 then begin
-      step_core t c;
-      (* Attribute this executed cycle: the stall latch carrying [n0]
-         identifies the stall category (it was counted exactly once by
-         [stall]); otherwise the post-step state says busy or idle. *)
-      if t.prof.Prof.on then
-        Prof.add t.prof ~core:c.id
-          ~bucket:
-            (if c.stall_cycle = n0 then 1 + stall_index c.stall_kind
-             else prof_bucket_of_state c.state)
-          1;
-      if t.obs.Obs.on then begin
-        if c.stall_cycle = n0 then
-          Obs.stall_run t.obs ~core:c.id
-            ~kind:(stall_index c.stall_kind)
-            ~cycle:n0 ~span:1;
-        Obs.set_phase t.obs ~core:c.id
-          ~phase:(phase_of_state c.state)
-          ~cycle:n0
-      end;
-      if skip then begin
-        maybe_sleep t c ~now:n0;
-        if c.wake = n0 + 1 then incr awake_next
-      end
-    end
-  done;
-  if t.obs.Obs.on && Obs.sample_due t.obs ~cycle:n0 then
-    Obs.sample t.obs ~cycle:n0
-      ~backlog:(t.sb.SB.free - t.sb.SB.scan)
-      ~fifo_depth:(Fifo.length t.fifo);
-  let empty_delta =
-    if t.parallel_phase && (not t.finished) && t.saw_empty then 1 else 0
-  in
-  t.empty_cycles <- t.empty_cycles + empty_delta;
-  (match trace with
-  | Some tr ->
-    if Trace.due tr ~cycle:n0 then begin
-      let activity =
-        String.init t.cfg.n_cores (fun i -> state_code t.cores.(i).state)
-      in
-      Trace.record tr ~cycle:n0 ~scan:(t.sb.SB.scan) ~free:(t.sb.SB.free)
-        ~fifo_depth:(Fifo.length t.fifo) ~activity
-    end;
-    if t.hooks.Hooks.on then begin
-      let fs = San.findings t.san in
-      let n = List.length fs in
-      if n > t.san_seen then begin
-        List.iteri
-          (fun i d ->
-            if i >= t.san_seen then
-              Trace.annotate tr ~cycle:n0 (Diag.to_string d))
-          fs;
-        t.san_seen <- n
-      end
-    end
-  | None -> ());
-  Kernel.tick t.clock;
-  let quiet = cycle_was_quiet t ~scan0 ~free0 in
-  let halted_all = all_halted t in
-  if not halted_all then begin
-    (* Watchdog: a quiet cycle made no global progress. The no-progress
-       window counts executed cycles only — skipped spans always end at
-       a wake-up that produces a transition, so they cannot mask a
-       deadlock (a true deadlock has no wake-up and spins cycle by
-       cycle, exactly what the window measures). *)
-    match
-      Kernel.Watchdog.observe t.watchdog ~now:n0 ~progressed:(not quiet)
-    with
-    | Some trip -> raise (Stall_diagnosis (diagnose t trip))
-    | None -> ()
-  end;
-  (* Whole-machine fast-forward (disabled while tracing: a trace wants
-     to sample the quiet cycles too). Two triggers: a quiescent cycle
-     (the classic idle-cycle skip, bounded by every buffer wake), or —
-     new with event-driven stepping — every core asleep on a memory
-     response, in which case nothing can happen before the earliest
-     armed wake even though this cycle itself made progress. *)
-  if skip && Option.is_none trace && not halted_all then
-    if quiet then begin
-      let wake = next_wake_global t ~now:n0 in
-      if wake < max_int then begin
-        let target = min (Wake_queue.bound ~horizon wake) (t.cfg.max_cycles + 1) in
-        if target > n0 + 1 then begin
-          (* The skipped cycles are quiescent, so the counter samples a
-             naive stepper would take in them carry today's (frozen)
-             signal values — emit them before jumping so the event
-             stream stays stepping-invariant. *)
-          if t.obs.Obs.on then
-            Obs.catch_up_samples t.obs ~target
-              ~backlog:(t.sb.SB.free - t.sb.SB.scan)
-              ~fifo_depth:(Fifo.length t.fifo);
-          let span = Kernel.fast_forward t.clock ~target in
-          credit_skipped t ~cycle:n0 ~span ~empty_delta
-        end
-      end
-    end
-    else if !awake_next = 0 then begin
-      let wake = Wake_queue.next_after t.wakeq ~now:n0 in
-      if wake < max_int then begin
-        let target = min (Wake_queue.bound ~horizon wake) (t.cfg.max_cycles + 1) in
-        if target > n0 + 1 then begin
-          (* No awake core means no stall latch, no busy bit moving, no
-             worklist probe in the skipped span: sleeping cores were
-             credited when they went to sleep, so there is nothing to
-             credit here. Counter samples still need catching up — the
-             signals are frozen while everyone sleeps. *)
-          if t.obs.Obs.on then
-            Obs.catch_up_samples t.obs ~target
-              ~backlog:(t.sb.SB.free - t.sb.SB.scan)
-              ~fifo_depth:(Fifo.length t.fifo);
-          ignore (Kernel.fast_forward t.clock ~target)
-        end
-      end
-    end
-
 (* ------------------------------------------------------------------ *)
-(* The compiled stepping engine (ROADMAP item 2).
+(* The fast path.
 
-   A third engine alongside naive ([skip = false]) and the event-driven
-   skipper: the same microprogram, specialized at instantiation time for
-   the configuration the benchmarks and long parallel runs actually use
-   — no sanitizer, no fault plan, no tracer or profiler, whole-object
-   scanning. Under those guards (checked once, in [start]) the per-cycle
-   work compiles down to straight-line code:
+   One stepping engine, with fast paths chosen at [start] from what the
+   machine can observe about itself ([t.fast]): idle-cycle skipping on,
+   no sanitizer, no fault plan, no tracer or profiler, whole-object
+   scanning, not a bank of the banked machine, and at most 62 cores
+   (the parked-core set is one bit per core in an OCaml int). Under
+   those guards the engine additionally
 
-   - the Hooks/Tracer/Sanitizer/Injector branches disappear: the guards
-     hold by construction, so the fast paths below touch none of them;
-   - memory transactions whose completion cycle is already determined
-     retire in batches: with exactly one core awake the interpreter
-     runs it alone to the next foreign wake-up, and the body-copy
-     inner loop ([data_run_macro]) retires whole runs of data words in
-     closed form — a strict generalization of idle-skipping, advancing
-     the clock straight to the next semantic decision point;
-   - port status words, the sync-block shadow counts and the comparator
-     presence mask are probed as flat ints with precomputed masks.
+   - parks scan-lock spinners and credits their spins in bulk at the
+     release that wakes them;
+   - runs an exclusive awake core alone to the next foreign wake-up
+     ([step_exclusive]), whose body-copy inner loop retires whole
+     data-word runs in closed form ([data_run_macro]) — a strict
+     generalization of idle-skipping, advancing the clock straight to
+     the next semantic decision point.
+
+   Port ticks take their flat-int fast path ([tick_ports]) whenever no
+   hook, fault plan or tracer could observe them, banks included. A
+   per-step trace drops out of the fast path for that step; naive
+   stepping ([skip = false]) never enters it.
 
    The contract is the skipper's: every reported statistic is
    bit-identical to naive stepping; only wall time and the
-   executed/skipped split move. Whenever a guard fails — a per-step
-   trace requested, an instrumented or fault-injected run — the machine
-   falls back to the general engine above. *)
+   executed/skipped split move. *)
 (* ------------------------------------------------------------------ *)
 
-(* Buffer retry/completion for one core, fast paths inlined. Body-class
+(* Buffer retry/completion for one due core, in the order (hl, hs, bl,
+   bs) — acceptance order defines the bandwidth and ordering counters.
+   [Port.tick] is a no-op unless the buffer is retrying acceptance or an
+   in-flight transfer just completed, so the status is checked here
+   with direct field reads first. With [t.plain_ports] (no hook, fault
+   or tracer can observe a port) the fast paths are inlined: body-class
    transactions never touch the header cache, the comparator array or
    the FIFO, so their acceptance is exactly the bandwidth check;
    header-class buffers keep the general [Port.tick] on any path that
-   could consult shared structures. Order (hl, hs, bl, bs) matches the
-   general tick loop — acceptance order defines the bandwidth and
-   ordering counters. *)
-let tick_ports_compiled t c ~now =
+   could consult shared structures. *)
+let tick_ports t c ~now =
   let m = t.mem in
-  let bw = m.Mem.config.Mem.bandwidth in
-  let p = c.hl in
-  (let st = p.Port.st in
-   if st = Port.st_waiting then begin
-     (* Fast-reject only when provably pure: budget exhausted, no header
-        cache configured, and the comparator presence mask clears the
-        address (no pending store, hence no ordering rejection). *)
-     if
-       m.Mem.accepted_this_cycle >= bw
-       && m.Mem.config.Mem.header_cache_entries = 0
-       && m.Mem.ps_mask land (1 lsl (p.Port.addr land 31)) = 0
-     then m.Mem.rejected_bandwidth <- m.Mem.rejected_bandwidth + 1
-     else Port.tick p m ~now
-   end
-   else if st = Port.st_in_flight && p.Port.done_at <= now then begin
-     p.Port.st <- Port.st_ready;
-     incr t.events
-   end);
-  let p = c.hs in
-  (let st = p.Port.st in
-   if st = Port.st_waiting then begin
-     if m.Mem.accepted_this_cycle >= bw then
-       m.Mem.rejected_bandwidth <- m.Mem.rejected_bandwidth + 1
-     else Port.tick p m ~now
-   end
-   else if st = Port.st_in_flight && p.Port.done_at <= now then begin
-     p.Port.st <- Port.st_idle;
-     incr t.events
-   end);
-  let p = c.bl in
-  (let st = p.Port.st in
-   if st = Port.st_waiting then begin
-     if m.Mem.accepted_this_cycle >= bw then
-       m.Mem.rejected_bandwidth <- m.Mem.rejected_bandwidth + 1
-     else begin
-       m.Mem.accepted_this_cycle <- m.Mem.accepted_this_cycle + 1;
-       m.Mem.loads <- m.Mem.loads + 1;
-       p.Port.st <- Port.st_in_flight;
-       p.Port.done_at <- now + m.Mem.config.Mem.body_load_latency;
-       incr t.events
+  if not t.plain_ports then begin
+    let p = c.hl in
+    let st = p.Port.st in
+    if st = Port.st_waiting || (st = Port.st_in_flight && p.Port.done_at <= now)
+    then Port.tick p m ~now;
+    let p = c.hs in
+    let st = p.Port.st in
+    if st = Port.st_waiting || (st = Port.st_in_flight && p.Port.done_at <= now)
+    then Port.tick p m ~now;
+    let p = c.bl in
+    let st = p.Port.st in
+    if st = Port.st_waiting || (st = Port.st_in_flight && p.Port.done_at <= now)
+    then Port.tick p m ~now;
+    let p = c.bs in
+    let st = p.Port.st in
+    if st = Port.st_waiting || (st = Port.st_in_flight && p.Port.done_at <= now)
+    then Port.tick p m ~now
+  end
+  else begin
+    let bw = m.Mem.config.Mem.bandwidth in
+    let p = c.hl in
+    (let st = p.Port.st in
+     if st = Port.st_waiting then begin
+       (* Fast-reject only when provably pure: budget exhausted, no header
+          cache configured, and the comparator presence mask clears the
+          address (no pending store, hence no ordering rejection). *)
+       if
+         m.Mem.accepted_this_cycle >= bw
+         && m.Mem.config.Mem.header_cache_entries = 0
+         && m.Mem.ps_mask land (1 lsl (p.Port.addr land 31)) = 0
+       then m.Mem.rejected_bandwidth <- m.Mem.rejected_bandwidth + 1
+       else Port.tick p m ~now
      end
-   end
-   else if st = Port.st_in_flight && p.Port.done_at <= now then begin
-     p.Port.st <- Port.st_ready;
-     incr t.events
-   end);
-  let p = c.bs in
-  let st = p.Port.st in
-  if st = Port.st_waiting then begin
-    if m.Mem.accepted_this_cycle >= bw then
-      m.Mem.rejected_bandwidth <- m.Mem.rejected_bandwidth + 1
-    else begin
-      m.Mem.accepted_this_cycle <- m.Mem.accepted_this_cycle + 1;
-      m.Mem.stores <- m.Mem.stores + 1;
-      p.Port.st <- Port.st_in_flight;
-      p.Port.done_at <- now + m.Mem.config.Mem.store_latency;
+     else if st = Port.st_in_flight && p.Port.done_at <= now then begin
+       p.Port.st <- Port.st_ready;
+       incr t.events
+     end);
+    let p = c.hs in
+    (let st = p.Port.st in
+     if st = Port.st_waiting then begin
+       if m.Mem.accepted_this_cycle >= bw then
+         m.Mem.rejected_bandwidth <- m.Mem.rejected_bandwidth + 1
+       else Port.tick p m ~now
+     end
+     else if st = Port.st_in_flight && p.Port.done_at <= now then begin
+       p.Port.st <- Port.st_idle;
+       incr t.events
+     end);
+    let p = c.bl in
+    (let st = p.Port.st in
+     if st = Port.st_waiting then begin
+       if m.Mem.accepted_this_cycle >= bw then
+         m.Mem.rejected_bandwidth <- m.Mem.rejected_bandwidth + 1
+       else begin
+         m.Mem.accepted_this_cycle <- m.Mem.accepted_this_cycle + 1;
+         m.Mem.loads <- m.Mem.loads + 1;
+         p.Port.st <- Port.st_in_flight;
+         p.Port.done_at <- now + m.Mem.config.Mem.body_load_latency;
+         incr t.events
+       end
+     end
+     else if st = Port.st_in_flight && p.Port.done_at <= now then begin
+       p.Port.st <- Port.st_ready;
+       incr t.events
+     end);
+    let p = c.bs in
+    let st = p.Port.st in
+    if st = Port.st_waiting then begin
+      if m.Mem.accepted_this_cycle >= bw then
+        m.Mem.rejected_bandwidth <- m.Mem.rejected_bandwidth + 1
+      else begin
+        m.Mem.accepted_this_cycle <- m.Mem.accepted_this_cycle + 1;
+        m.Mem.stores <- m.Mem.stores + 1;
+        p.Port.st <- Port.st_in_flight;
+        p.Port.done_at <- now + m.Mem.config.Mem.store_latency;
+        incr t.events
+      end
+    end
+    else if st = Port.st_in_flight && p.Port.done_at <= now then begin
+      p.Port.st <- Port.st_idle;
       incr t.events
     end
-  end
-  else if st = Port.st_in_flight && p.Port.done_at <= now then begin
-    p.Port.st <- Port.st_idle;
-    incr t.events
   end
 
 (* --- Scan-lock spin parking -------------------------------------------
@@ -1820,7 +1620,7 @@ let tick_ports_compiled t c ~now =
    replay: the failed [try_lock] reads only the owner word, the stall
    bump and (when the worklist is empty) the [saw_empty] probe — and the
    worklist cannot be empty while the lock is held across cycles,
-   because the held frame sits at [scan < free]. So the compiled engine
+   because the held frame sits at [scan < free]. So the fast path
    parks such spinners ([wake = max_int], bit in [parked_mask]) and
    replays their spins in bulk when the release wakes them.
 
@@ -1890,11 +1690,11 @@ let wake_parked t ~now ~after ~count =
   done;
   !count
 
-(* Flush parked cores before anything outside the compiled fast path
-   can observe them: credit the spins up to (excluding) the current
-   cycle and leave each core due now, exactly the state the per-cycle
-   engines would show between cycles. Used on fallback to the general
-   engine and before snapshotting. *)
+(* Flush parked cores before anything outside the fast path can observe
+   them: credit the spins up to (excluding) the current cycle and leave
+   each core due now, exactly the state per-cycle stepping would show
+   between cycles. Used when a traced step leaves the fast path and
+   before snapshotting. *)
 let unpark_all t =
   if t.parked_mask <> 0 then begin
     let now = t.clock.Kernel.now in
@@ -1916,100 +1716,6 @@ let unpark_all t =
     done
   end
 
-(* One core step with the port-guard stall paths inlined (counter bump
-   plus stall latch, exactly [stall]); action paths reuse the general
-   microprogram step functions, whose hook/tracer sites are off by the
-   engine guards. Includes [step_core]'s trailing busy-cycle bump. *)
-let step_core_compiled t c ~now =
-  (match c.state with
-  | Body_wait ->
-    if c.bl.Port.st <> Port.st_ready then begin
-      let k = c.counters in
-      k.Counters.body_load <- k.Counters.body_load + 1;
-      c.stall_cycle <- now;
-      c.stall_kind <- Counters.Body_load
-    end
-    else step_body_wait t c
-  | Try_lock_scan -> step_try_lock_scan t c
-  | Body_issue_load ->
-    if c.bl.Port.st <> Port.st_idle then begin
-      let k = c.counters in
-      k.Counters.body_load <- k.Counters.body_load + 1;
-      c.stall_cycle <- now;
-      c.stall_kind <- Counters.Body_load
-    end
-    else step_body_issue_load t c
-  | Store_slot ->
-    if c.bs.Port.st <> Port.st_idle then begin
-      let k = c.counters in
-      k.Counters.body_store <- k.Counters.body_store + 1;
-      c.stall_cycle <- now;
-      c.stall_kind <- Counters.Body_store
-    end
-    else step_store_slot t c
-  (* The header-wait and header-store families get one arm each so the
-     dispatch stays a single jump table — [c.state = X] on the variant
-     would be a generic-equality call under classic ocamlopt. *)
-  | Scan_header_wait ->
-    if c.hl.Port.st <> Port.st_ready then begin
-      let k = c.counters in
-      k.Counters.header_load <- k.Counters.header_load + 1;
-      c.stall_cycle <- now;
-      c.stall_kind <- Counters.Header_load
-    end
-    else step_scan_header_wait t c
-  | Child_header_wait ->
-    if c.hl.Port.st <> Port.st_ready then begin
-      let k = c.counters in
-      k.Counters.header_load <- k.Counters.header_load + 1;
-      c.stall_cycle <- now;
-      c.stall_kind <- Counters.Header_load
-    end
-    else step_child_header_wait t c
-  | Root_header_wait ->
-    if c.hl.Port.st <> Port.st_ready then begin
-      let k = c.counters in
-      k.Counters.header_load <- k.Counters.header_load + 1;
-      c.stall_cycle <- now;
-      c.stall_kind <- Counters.Header_load
-    end
-    else step_root_header_wait t c
-  | Evac_store_fwd ->
-    if c.hs.Port.st <> Port.st_idle then begin
-      let k = c.counters in
-      k.Counters.header_store <- k.Counters.header_store + 1;
-      c.stall_cycle <- now;
-      c.stall_kind <- Counters.Header_store
-    end
-    else step_evac_store_fwd t c
-  | Evac_store_gray ->
-    if c.hs.Port.st <> Port.st_idle then begin
-      let k = c.counters in
-      k.Counters.header_store <- k.Counters.header_store + 1;
-      c.stall_cycle <- now;
-      c.stall_kind <- Counters.Header_store
-    end
-    else step_evac_store_gray t c
-  | Blacken ->
-    if c.hs.Port.st <> Port.st_idle then begin
-      let k = c.counters in
-      k.Counters.header_store <- k.Counters.header_store + 1;
-      c.stall_cycle <- now;
-      c.stall_kind <- Counters.Header_store
-    end
-    else step_blacken t c
-  | Lock_child -> step_lock_child t c
-  | Lock_free -> step_lock_free t c
-  | Start_barrier -> step_start_barrier t c
-  | End_barrier -> step_end_barrier t c
-  | Flush -> step_flush t c
-  | Piece_done -> step_piece_done t c
-  | Root_next -> step_root_next t c
-  | Init -> step_init t c
-  | Halt -> ());
-  if t.sb.SB.busy.(c.id) then
-    c.counters.busy_cycles <- c.counters.busy_cycles + 1
-
 (* Closed-form retirement of a data-word copy run — the paper's inner
    loop: consume the loaded word, store it and issue the next load in
    one cycle, then stall [L-1] cycles on the body-load buffer until the
@@ -2022,16 +1728,16 @@ let step_core_compiled t c ~now =
    [L-1] body-load stall cycles (busy). The macro books those totals
    directly ([Kernel.retire] advances the clock in one call), performs
    the same word-at-a-time heap copy, and leaves the port registers
-   exactly as the per-cycle engines would at the exit cycle. A pointer
-   slot, the end of the work item, or [limit] ends the run; the clock
-   stops just after the last processed word cycle, with [c.wake] due so
-   the per-cycle loop resumes seamlessly. *)
-(* Close out a data run: book the totals the per-cycle engines would
+   exactly as per-cycle stepping would at the exit cycle. A pointer
+   slot or the end of the work item ends the run with the clock just
+   after the last processed word cycle and [c.wake] due, so the
+   per-cycle loop resumes seamlessly; [limit] ends it with the core
+   asleep on its next body load and the clock at [limit]. *)
+(* Close out a data run: book the totals per-cycle stepping would
    have accumulated over the run's [exec] word cycles and [gaps]
    replayed stall cycles, advance the clock in one call, and leave the
    core due at the exit cycle. [w] is the run's last executed word
-   cycle. The watchdog is handled by the caller ([exclusive_loop]
-   records the run as one deferred progress observation at [w]; the
+   cycle, recorded as one deferred watchdog progress observation (the
    state that leaves — quiet = 0, last progress = [w] — matches
    per-cycle stepping, and [limit] never exceeds the cycle budget, so
    the deferral cannot mask a budget trip). *)
@@ -2047,18 +1753,20 @@ let data_run_finish t c ~w ~slot ~words ~gaps ~exec ~next_loads =
   m.Mem.loads <- m.Mem.loads + next_loads;
   m.Mem.stores <- m.Mem.stores + words;
   Kernel.retire t.clock ~executed:exec ~skipped:gaps;
-  c.wake <- w + 1
+  c.wake <- w + 1;
+  (* The run's last executed cycle subsumes any older pending progress
+     observation. *)
+  t.wd_defer <- w
 
 (* The run loop proper, as explicit tail recursion over plain ints: a
    [while] with [ref] accumulators would box them (classic ocamlopt
-   only unboxes non-escaping references, and the hot-path allocation
-   gate on the compiled engine is two orders tighter than the general
-   one). [w] is the word cycle being executed, [slot] the slot it
-   consumes, [words]/[gaps] the data words copied and stall cycles
-   replayed so far. Unsafe accesses are in bounds by construction: the
+   only unboxes non-escaping references, and the stepping loop's
+   allocation gate is 0.005 words per executed cycle). [w] is the word
+   cycle being executed, [slot] the slot it consumes, [words]/[gaps]
+   the data words copied and stall cycles replayed so far. Unsafe accesses are in bounds by construction: the
    microprogram has already validated [obj_from]/[obj_to] frames when
-   it entered the copy loop, and the compiled engine never runs with a
-   fault plan. *)
+   it entered the copy loop, and the fast path never runs with a fault
+   plan. *)
 let rec data_run_go t c ~fromb ~tob ~pi ~slot_limit ~lat_l ~lat_s ~limit w
     slot words gaps =
   let heap = t.heap.H.mem in
@@ -2100,7 +1808,21 @@ let rec data_run_go t c ~fromb ~tob ~pi ~slot_limit ~lat_l ~lat_s ~limit w
       c.bs.Port.done_at <- w + lat_s;
       c.bs.Port.issued_at <- w;
       c.state <- Body_wait;
-      data_run_finish t c ~w ~slot ~words ~gaps ~exec:words ~next_loads:words
+      data_run_finish t c ~w ~slot ~words ~gaps ~exec:words ~next_loads:words;
+      if lat_l > 1 then begin
+        (* Per-cycle stepping puts the core to sleep on the body load
+           after its last word cycle, crediting the slept stalls, and
+           the whole machine is then asleep until [limit]: do both
+           here, so the exit costs no extra executed cycle. *)
+        let span = lat_l - 1 in
+        let k = c.counters in
+        k.Counters.body_load <- k.Counters.body_load + span;
+        k.Counters.busy_cycles <- k.Counters.busy_cycles + span;
+        c.wake <- w + lat_l;
+        let clock = t.clock in
+        clock.Kernel.skipped <- clock.Kernel.skipped + (limit - w - 1);
+        clock.Kernel.now <- limit
+      end
     end
     else
       data_run_go t c ~fromb ~tob ~pi ~slot_limit ~lat_l ~lat_s ~limit
@@ -2117,26 +1839,6 @@ let data_run_macro t c ~limit =
     ~lat_l:cfgm.Mem.body_load_latency ~lat_s:cfgm.Mem.store_latency ~limit
     t.clock.Kernel.now c.slot 0 0
 
-(* Exclusive-core interpreter: every other core is asleep until at
-   least [limit], and a sleeping core's wake is frozen (nothing the
-   running core does can reschedule it), so the segment needs no
-   whole-machine scans — one core ticks, steps and sleeps, and global
-   jumps reduce to its own wake arithmetic. The per-cycle machinery of
-   the general engine is specialized away:
-
-   - sleeps credit their replay statistics inline and advance the clock
-     directly to [min wake limit] (the whole machine is asleep, so the
-     queue-mediated all-asleep jump collapses to one assignment);
-   - the wake queue is not touched per sleep — the single exit arm
-     below restores the queue invariant the fused path relies on;
-   - watchdog observations of progressed cycles are deferred and
-     flushed in one call (at the next quiet cycle or segment exit),
-     which leaves bit-identical watchdog state because consecutive
-     progress observations are idempotent up to the last one, and
-     [limit] never exceeds the cycle budget.
-
-   Exits once the clock reaches [limit] or the core's own wake passes
-   the current cycle (the caller re-evaluates the machine shape). *)
 (* Flush the deferred watchdog progress observation (see [t.wd_defer]).
    Consecutive progress observations are idempotent up to the last one,
    so reporting only the latest leaves bit-identical watchdog state;
@@ -2151,21 +1853,45 @@ let wd_flush t =
     | None -> ()
   end
 
-(* One exclusive cycle, tail-recursively (top-level recursion with plain
-   arguments: a [while] over [ref] state would box the refs and a local
-   flush closure would allocate per segment — the compiled engine's
-   allocation gate forbids both). *)
-let rec exclusive_loop ?horizon t c ~limit ~macro_ok =
+(* Exclusive-core interpreter: every other core is asleep until at
+   least [limit], and a sleeping core's wake is frozen (nothing the
+   running core does can reschedule it), so the segment needs no
+   whole-machine scans — one core ticks, steps and sleeps, and global
+   jumps reduce to its own wake arithmetic. The per-cycle machinery of
+   [step_cycle] is specialized away:
+
+   - sleeps credit their replay statistics inline and advance the clock
+     directly to [min wake limit] (the whole machine is asleep, so the
+     queue-mediated all-asleep jump collapses to one assignment);
+   - the wake queue is not touched per sleep — the single exit arm
+     below restores the queue invariant [step_cycle] relies on;
+   - watchdog observations of progressed cycles are deferred and
+     flushed in one call (at the next quiet cycle or segment exit),
+     which leaves bit-identical watchdog state because consecutive
+     progress observations are idempotent up to the last one, and
+     [limit] never exceeds the cycle budget.
+
+   Exits once the clock reaches [limit], the core's own wake passes
+   the current cycle (the caller re-evaluates the machine shape), or
+   the start barrier opened ([roots_done] is the phase at entry): a
+   driver polling [roots_done] between steps — the concurrent
+   mutator's pause ends there — sees the cycle after the opening, as
+   with per-cycle stepping. One exclusive cycle per call,
+   tail-recursively (top-level recursion with plain arguments: a
+   [while] over [ref] state would box the refs and a local flush
+   closure would allocate per segment — the stepping loop's allocation
+   gate forbids both). *)
+let rec exclusive_loop ?horizon t c ~limit ~macro_ok ~roots_done =
   let clock = t.clock in
   let n0 = clock.Kernel.now in
-  if n0 >= limit || c.wake > n0 then ()
+  if n0 >= limit || c.wake > n0 || t.parallel_phase <> roots_done then ()
   else begin
     t.mem.Mem.cycle <- n0;
     t.mem.Mem.accepted_this_cycle <- 0;
     t.hooks.Hooks.cycle <- n0;
     let scan0 = t.sb.SB.scan and free0 = t.sb.SB.free in
     t.events := 0;
-    tick_ports_compiled t c ~now:n0;
+    tick_ports t c ~now:n0;
     if
       macro_ok
       && (match c.state with Body_wait -> true | _ -> false)
@@ -2175,14 +1901,11 @@ let rec exclusive_loop ?horizon t c ~limit ~macro_ok =
       && c.bs.Port.st = Port.st_idle
     then begin
       data_run_macro t c ~limit;
-      (* The run's last executed cycle subsumes any older pending
-         progress observation. *)
-      t.wd_defer <- c.wake - 1;
-      exclusive_loop ?horizon t c ~limit ~macro_ok
+      exclusive_loop ?horizon t c ~limit ~macro_ok ~roots_done
     end
     else begin
       t.saw_empty <- false;
-      step_core_compiled t c ~now:n0;
+      step_core t c;
       (* Executed cycle: inline [Kernel.tick]. *)
       clock.Kernel.now <- n0 + 1;
       clock.Kernel.executed <- clock.Kernel.executed + 1;
@@ -2192,26 +1915,32 @@ let rec exclusive_loop ?horizon t c ~limit ~macro_ok =
       t.empty_cycles <- t.empty_cycles + empty_delta;
       if (match c.state with Halt -> true | _ -> false) then begin
         (* Wake already pinned at max_int by the halt transition; the
-           general engine skips the watchdog when everyone halted, and a
+           per-cycle path skips the watchdog when everyone halted, and a
            lone halt is a progressed cycle (events moved). The pinned
            wake ends the recursion at the next check. *)
         if not (all_halted t) then t.wd_defer <- n0
       end
       else if try_park t c ~now:n0 then begin
-        (* Parked on a lock held by a sleeping foreign core: the wake at
-           [max_int] ends the segment at the next recursion check, and
-           the dispatcher's no-awake fast-forward jumps to the holder.
-           The spin cycle still gets its watchdog observation. *)
-        if !(t.events) = 0 && t.sb.SB.scan = scan0 && t.sb.SB.free = free0
-        then begin
-          wd_flush t;
-          match
-            Kernel.Watchdog.observe t.watchdog ~now:n0 ~progressed:false
-          with
-          | Some trip -> raise (Stall_diagnosis (diagnose t trip))
-          | None -> ()
+        (* Parked on a lock held by a sleeping foreign core: the spin
+           cycle gets its watchdog observation, then the whole machine
+           is asleep until [limit] (the earliest foreign wake, already
+           capped like a sleep target) — jump there, exactly the
+           all-asleep jump [step_cycle] makes after parking. The wake at
+           [max_int] ends the segment at the next recursion check. *)
+        (if !(t.events) = 0 && t.sb.SB.scan = scan0 && t.sb.SB.free = free0
+         then begin
+           wd_flush t;
+           match
+             Kernel.Watchdog.observe t.watchdog ~now:n0 ~progressed:false
+           with
+           | Some trip -> raise (Stall_diagnosis (diagnose t trip))
+           | None -> ()
+         end
+         else t.wd_defer <- n0);
+        if limit > n0 + 1 then begin
+          clock.Kernel.skipped <- clock.Kernel.skipped + (limit - n0 - 1);
+          clock.Kernel.now <- limit
         end
-        else t.wd_defer <- n0
       end
       else begin
         (* Inline [maybe_sleep]: same replay decision, but the credit
@@ -2260,7 +1989,7 @@ let rec exclusive_loop ?horizon t c ~limit ~macro_ok =
           | None -> ());
           if not slept then begin
             (* Quiet spin (e.g. a poll-state replay): same global
-               fast-forward as the general engine, but [c] is the only
+               fast-forward as [step_cycle], but [c] is the only
                awake core, so the whole-machine scan collapses to its
                own buffer arithmetic and the bulk credit touches it
                alone (foreign sleepers wake past [limit] >= target). *)
@@ -2287,7 +2016,7 @@ let rec exclusive_loop ?horizon t c ~limit ~macro_ok =
         end
         else t.wd_defer <- n0
       end;
-      exclusive_loop ?horizon t c ~limit ~macro_ok
+      exclusive_loop ?horizon t c ~limit ~macro_ok ~roots_done
     end
   end
 
@@ -2300,128 +2029,209 @@ let step_exclusive ?horizon t c ~limit =
     cfgm.Mem.bandwidth >= 2
     && cfgm.Mem.store_latency <= cfgm.Mem.body_load_latency
   in
-  exclusive_loop ?horizon t c ~limit ~macro_ok;
+  exclusive_loop ?horizon t c ~limit ~macro_ok ~roots_done:t.parallel_phase;
   wd_flush t;
-  (* Restore the queue invariant for the general/fused paths: a sleeping
+  (* Restore the queue invariant [step_cycle] relies on: a sleeping
      core's wake must be armed (stale earlier entries are filtered by
      [next_after]'s strictly-future check). *)
   if c.wake > t.clock.Kernel.now && c.wake < max_int then
     Wake_queue.arm t.wakeq ~id:c.id ~time:c.wake
 
-(* One fused cycle: the general [step] body with the tracer, profiler
-   and trace branches compiled out and the buffer/stall fast paths
-   inlined. The two-phase structure — every due buffer retries before
-   any core executes, both in core-index order — is preserved exactly;
-   acceptance order defines the bandwidth and ordering counters.
+(* Post-step bookkeeping for a core that just executed cycle [n0]:
+   attribute the cycle to the profiler and the tracer (one
+   load-and-branch each when off), then park the core on the scan lock
+   (only when [park]: the fast path), put it to sleep, or keep it awake
+   — an awake core is appended to [t.awake_ids] at [count]. Returns the
+   new awake count. Naive stepping keeps every core due every cycle and
+   never fast-forwards, so it needs no list. *)
+let settle t c ~n0 ~park ~count =
+  (* The stall latch carrying [n0] identifies the stall category (it
+     was counted exactly once by the step); otherwise the post-step
+     state says busy or idle. *)
+  if t.prof.Prof.on then
+    Prof.add t.prof ~core:c.id
+      ~bucket:
+        (if c.stall_cycle = n0 then 1 + stall_index c.stall_kind
+         else prof_bucket_of_state c.state)
+      1;
+  if t.obs.Obs.on then begin
+    if c.stall_cycle = n0 then
+      Obs.stall_run t.obs ~core:c.id
+        ~kind:(stall_index c.stall_kind)
+        ~cycle:n0 ~span:1;
+    Obs.set_phase t.obs ~core:c.id ~phase:(phase_of_state c.state) ~cycle:n0
+  end;
+  if (not t.cfg.skip) || (park && try_park t c ~now:n0) then count
+  else begin
+    maybe_sleep t c ~now:n0;
+    if c.wake = n0 + 1 then begin
+      Array.unsafe_set t.awake_ids count c.id;
+      count + 1
+    end
+    else count
+  end
 
-   Both phases walk [t.due_ids] (the [d] cores the dispatcher found due,
-   in index order) instead of rescanning the core array: a due core's
-   wake cannot change before its own phase-2 turn (only its own step or
-   a parked-core wake mutates it, and due cores are never parked). The
+(* One executed cycle, then at most one whole-machine fast-forward. The
+   two-phase structure — every due buffer retries before any core
+   executes, both in core-index order — is the machine's static
+   prioritization: the lowest index wins simultaneous claims, and a
+   lock released by an earlier core is acquirable by a later core in
+   the same cycle. Sleeping cores are not stepped at all: none of their
+   buffers can transition before their wake, and their replayed cycles
+   were bulk-credited when they went to sleep.
+
+   Both phases walk [t.due_ids] (the [d] cores due this cycle, in index
+   order) instead of rescanning the core array: a due core's wake
+   cannot change before its own phase-2 turn (only its own step or a
+   parked-core wake mutates it, and due cores are never parked). The
    one exception is a scan-lock release waking a *parked* core due this
    same cycle (id past the releaser): the walk then falls back to a raw
    index scan for the rest of the cycle, which hands both the woken
    spinners and the remaining due cores their turns in index order —
    exactly the per-cycle arbitration. *)
-let step_cycle_compiled ?horizon t ~n0 ~d =
-  let m = t.mem in
-  m.Mem.cycle <- n0;
-  m.Mem.accepted_this_cycle <- 0;
+let step_cycle ?trace ?horizon t ~n0 ~d ~park =
+  Mem.begin_cycle t.mem ~now:n0;
+  (* Stamp the shared hook record so diagnostics and sanitizer findings
+     raised anywhere this cycle carry the cycle number. *)
   t.hooks.Hooks.cycle <- n0;
+  if t.obs.Obs.on then t.obs.Obs.cycle <- n0;
   let scan0 = t.sb.SB.scan and free0 = t.sb.SB.free in
   t.events := 0;
-  let cores = t.cores in
-  let due = t.due_ids in
+  let cores = t.cores and due = t.due_ids in
   for k = 0 to d - 1 do
-    tick_ports_compiled t
-      (Array.unsafe_get cores (Array.unsafe_get due k))
-      ~now:n0
+    tick_ports t (Array.unsafe_get cores (Array.unsafe_get due k)) ~now:n0
   done;
   t.saw_empty <- false;
-  let awake_next = ref 0 in
+  let awake = ref 0 in
   let raw_from = ref (-1) in
   let k = ref 0 in
   while !raw_from < 0 && !k < d do
     let c = Array.unsafe_get cores (Array.unsafe_get due !k) in
     incr k;
-    step_core_compiled t c ~now:n0;
-    if not (try_park t c ~now:n0) then begin
-      maybe_sleep t c ~now:n0;
-      if c.wake = n0 + 1 then begin
-        Array.unsafe_set t.awake_ids !awake_next c.id;
-        incr awake_next
-      end
-    end;
+    step_core t c;
+    awake := settle t c ~n0 ~park ~count:!awake;
     (* Any step may have released the scan lock (a grab releases it
        within the same step); parked spinners re-enter the arbitration
        at exactly the cycle per-cycle stepping would let them. *)
     if t.parked_mask <> 0 && t.sb.SB.scan_owner < 0 then begin
       let woke_due = t.parked_mask lsr (c.id + 1) <> 0 in
-      awake_next := wake_parked t ~now:n0 ~after:c.id ~count:!awake_next;
+      awake := wake_parked t ~now:n0 ~after:c.id ~count:!awake;
       if woke_due then raw_from := c.id + 1
     end
   done;
-  if !raw_from >= 0 then begin
+  if !raw_from >= 0 then
     (* A release woke parked spinners due this cycle: finish with the
        raw scan (nested releases further down re-enter it naturally). *)
     for i = !raw_from to Array.length cores - 1 do
       let c = Array.unsafe_get cores i in
       if c.wake <= n0 then begin
-        step_core_compiled t c ~now:n0;
-        if not (try_park t c ~now:n0) then begin
-          maybe_sleep t c ~now:n0;
-          if c.wake = n0 + 1 then begin
-            Array.unsafe_set t.awake_ids !awake_next c.id;
-            incr awake_next
-          end
-        end;
+        step_core t c;
+        awake := settle t c ~n0 ~park ~count:!awake;
         if t.parked_mask <> 0 && t.sb.SB.scan_owner < 0 then
-          awake_next := wake_parked t ~now:n0 ~after:i ~count:!awake_next
+          awake := wake_parked t ~now:n0 ~after:i ~count:!awake
       end
-    done
-  end;
+    done;
+  if t.obs.Obs.on && Obs.sample_due t.obs ~cycle:n0 then
+    Obs.sample t.obs ~cycle:n0
+      ~backlog:(t.sb.SB.free - t.sb.SB.scan)
+      ~fifo_depth:(Fifo.length t.fifo);
   let empty_delta =
     if t.parallel_phase && (not t.finished) && t.saw_empty then 1 else 0
   in
   t.empty_cycles <- t.empty_cycles + empty_delta;
+  (match trace with
+  | Some tr ->
+    if Trace.due tr ~cycle:n0 then begin
+      let activity =
+        String.init t.cfg.n_cores (fun i -> state_code t.cores.(i).state)
+      in
+      Trace.record tr ~cycle:n0 ~scan:(t.sb.SB.scan) ~free:(t.sb.SB.free)
+        ~fifo_depth:(Fifo.length t.fifo) ~activity
+    end;
+    if t.hooks.Hooks.on then begin
+      let fs = San.findings t.san in
+      let n = List.length fs in
+      if n > t.san_seen then begin
+        List.iteri
+          (fun i d ->
+            if i >= t.san_seen then
+              Trace.annotate tr ~cycle:n0 (Diag.to_string d))
+          fs;
+        t.san_seen <- n
+      end
+    end
+  | None -> ());
   Kernel.tick t.clock;
   let quiet = cycle_was_quiet t ~scan0 ~free0 in
   if not (all_halted t) then begin
+    (* Watchdog: a quiet cycle made no global progress. The no-progress
+       window counts executed cycles only — skipped spans always end at
+       a wake-up that produces a transition, so they cannot mask a
+       deadlock (a true deadlock has no wake-up and spins cycle by
+       cycle, exactly what the window measures). *)
     (match
        Kernel.Watchdog.observe t.watchdog ~now:n0 ~progressed:(not quiet)
      with
     | Some trip -> raise (Stall_diagnosis (diagnose t trip))
     | None -> ());
-    if quiet then begin
-      let wake = next_wake_awake t ~now:n0 ~count:!awake_next in
-      if wake < max_int then begin
-        let target =
-          imin (Wake_queue.bound ~horizon wake) (t.cfg.max_cycles + 1)
-        in
-        if target > n0 + 1 then begin
-          let span = Kernel.fast_forward t.clock ~target in
-          credit_awake t ~cycle:n0 ~span ~empty_delta ~count:!awake_next
+    (* Whole-machine fast-forward (disabled while tracing: a trace wants
+       to sample the quiet cycles too). Two triggers: a quiescent cycle
+       (the classic idle-cycle skip, bounded by every buffer wake), or
+       every core asleep on a memory response, in which case nothing
+       can happen before the earliest armed wake even though this cycle
+       itself made progress. The skipped cycles are quiescent, so the
+       counter samples a naive stepper would take in them carry today's
+       (frozen) signal values — they are emitted before jumping so the
+       event stream stays stepping-invariant. *)
+    if t.cfg.skip && Option.is_none trace then
+      if quiet then begin
+        let wake = next_wake t ~now:n0 ~count:!awake in
+        if wake < max_int then begin
+          let target =
+            imin (Wake_queue.bound ~horizon wake) (t.cfg.max_cycles + 1)
+          in
+          if target > n0 + 1 then begin
+            if t.obs.Obs.on then
+              Obs.catch_up_samples t.obs ~target
+                ~backlog:(t.sb.SB.free - t.sb.SB.scan)
+                ~fifo_depth:(Fifo.length t.fifo);
+            let span = Kernel.fast_forward t.clock ~target in
+            credit_skipped t ~cycle:n0 ~span ~empty_delta ~count:!awake
+          end
         end
       end
-    end
-    else if !awake_next = 0 then begin
-      let wake = Wake_queue.next_after t.wakeq ~now:n0 in
-      if wake < max_int then begin
-        let target =
-          imin (Wake_queue.bound ~horizon wake) (t.cfg.max_cycles + 1)
-        in
-        if target > n0 + 1 then ignore (Kernel.fast_forward t.clock ~target)
+      else if !awake = 0 then begin
+        (* No awake core means no stall latch, no busy bit moving, no
+           worklist probe in the skipped span: sleeping cores were
+           credited when they went to sleep, and parked ones are
+           credited at their release. *)
+        let wake = Wake_queue.next_after t.wakeq ~now:n0 in
+        if wake < max_int then begin
+          let target =
+            imin (Wake_queue.bound ~horizon wake) (t.cfg.max_cycles + 1)
+          in
+          if target > n0 + 1 then begin
+            if t.obs.Obs.on then
+              Obs.catch_up_samples t.obs ~target
+                ~backlog:(t.sb.SB.free - t.sb.SB.scan)
+                ~fifo_depth:(Fifo.length t.fifo);
+            ignore (Kernel.fast_forward t.clock ~target)
+          end
+        end
       end
-    end
   end
 
-let step_compiled ?horizon t =
+let step ?trace ?horizon t =
   let n0 = t.clock.Kernel.now in
   if n0 > t.cfg.max_cycles then
     raise
       (Simulation_diverged
          (Printf.sprintf "exceeded %d cycles (scan=%d free=%d)" t.cfg.max_cycles
             (t.sb.SB.scan) (t.sb.SB.free)));
+  let fast = t.fast && Option.is_none trace in
+  (* A per-step trace leaves the fast path for this step: parked cores
+     are a fast-path artifact, so flush them back to due spinners. *)
+  if (not fast) && t.parked_mask <> 0 then unpark_all t;
   let cores = t.cores in
   let n = Array.length cores in
   let due = t.due_ids in
@@ -2432,13 +2242,13 @@ let step_compiled ?horizon t =
       incr d
     end
   done;
-  if !d = 1 && t.parked_mask = 0 then begin
+  if fast && !d = 1 && t.parked_mask = 0 then begin
     (* Exactly one core due and nobody parked: run it alone up to the
        earliest foreign wake (capped by the resume horizon, the
        divergence bound and the cycle budget, so batched segments never
-       overshoot a boundary the per-cycle engines observe). Parked cores
+       overshoot a boundary the per-cycle engine observes). Parked cores
        are excluded because a release inside the segment would have to
-       hand them a same-cycle turn; the fused loop handles that. *)
+       hand them a same-cycle turn; the per-cycle walk handles that. *)
     let only = Array.unsafe_get due 0 in
     let limit = ref (t.cfg.max_cycles + 1) in
     (match horizon with Some h -> if h < !limit then limit := h | None -> ());
@@ -2453,25 +2263,9 @@ let step_compiled ?horizon t =
     done;
     if !limit > n0 + 1 then
       step_exclusive ?horizon t (Array.unsafe_get cores only) ~limit:!limit
-    else step_cycle_compiled ?horizon t ~n0 ~d:1
+    else step_cycle ?horizon t ~n0 ~d:1 ~park:true
   end
-  else step_cycle_compiled ?horizon t ~n0 ~d:!d
-
-let step ?trace ?horizon t =
-  match trace with
-  | None when t.compiled_hot -> step_compiled ?horizon t
-  | _ ->
-    (* Falling out of the compiled fast path (e.g. a per-step trace
-       attached mid-run): the general engine has no notion of parked
-       cores, so flush them back to due spinners first. *)
-    if t.parked_mask <> 0 then unpark_all t;
-    let n0 = now t in
-    if n0 > t.cfg.max_cycles then
-      raise
-        (Simulation_diverged
-           (Printf.sprintf "exceeded %d cycles (scan=%d free=%d)"
-              t.cfg.max_cycles (t.sb.SB.scan) (t.sb.SB.free)));
-    step_general ?trace ?horizon t
+  else step_cycle ?trace ?horizon t ~n0 ~d:!d ~park:fast
 
 let finalize t =
   if not (all_halted t) then invalid_arg "Coprocessor.finalize: not halted";
@@ -2684,8 +2478,7 @@ module Snapshot = struct
     | Some b ->
       Codec.W.bool w true;
       Codec.W.int w b);
-    Codec.W.int w cfg.stall_window;
-    Codec.W.bool w cfg.compiled
+    Codec.W.int w cfg.stall_window
 
   let decode_config r =
     let n_cores = Codec.R.int r in
@@ -2724,7 +2517,6 @@ module Snapshot = struct
     in
     let cycle_budget = if Codec.R.bool r then Some (Codec.R.int r) else None in
     let stall_window = Codec.R.int r in
-    let compiled = Codec.R.bool r in
     {
       n_cores;
       mem =
@@ -2743,7 +2535,6 @@ module Snapshot = struct
       cycle_budget;
       stall_window;
       sanitize = San.Off;
-      compiled;
     }
 
   (* --- core register files ------------------------------------------ *)
@@ -2841,7 +2632,7 @@ module Snapshot = struct
       invalid_arg
         "Coprocessor.Snapshot.save: banked-machine banks are not \
          snapshottable";
-    (* Parked spinners are a compiled-engine scheduling artifact: flush
+    (* Parked spinners are a fast-path scheduling artifact: flush
        them to plain due cores so the snapshot is engine-independent
        (the credited stalls are exactly the per-cycle ones). *)
     unpark_all t;

@@ -52,7 +52,17 @@ type config = {
           Default [true]; [false] is the pure poll-every-core-every-cycle
           parity reference ([--no-skip] in the CLI). Tracing temporarily
           disables the whole-machine jumps so quiet cycles are sampled
-          too. *)
+          too.
+
+          With skipping on, {!start} also engages the fast paths when
+          the run allows them: sanitizer [Off], no fault plan, no tracer
+          or profiler enabled, [scan_unit = None], not a bank
+          ([?remote]), and at most 62 cores. They park cores spinning on
+          a held scan lock (crediting the spins in bulk at the release),
+          run a lone awake core alone up to the next foreign wake-up,
+          and retire the body-copy inner loop's data-word runs in closed
+          form. Same contract: only wall time and the executed/skipped
+          split move. A step given [?trace] runs per-cycle. *)
   faults : Hsgc_fault.Injector.spec option;
       (** fault-injection plan ({!Hsgc_fault.Injector}). Each simulator
           instance builds a private injector from the spec, so
@@ -82,22 +92,6 @@ type config = {
           at the first finding. The sanitizer observes the
           stop-the-world collection (it is detached at [finalize];
           concurrent-mode mutator activity is out of scope). *)
-  compiled : bool;
-      (** the compiled stepping engine: the same microprogram,
-          specialized at instantiation time for the plain-run
-          configuration. Hook/tracer/sanitizer/injector branches are
-          resolved away, buffer retries and stall paths are inlined on
-          flat status ints, and transactions whose completion cycle is
-          already determined retire in batches (an exclusive awake core
-          runs alone to the next foreign wake-up; the body-copy inner
-          loop retires whole data-word runs in closed form) — a strict
-          generalization of idle-cycle skipping, with the same
-          contract: every reported statistic is bit-identical to naive
-          stepping, only wall time and the executed/skipped split
-          move. Requires [skip = true], [sanitize = Off] and
-          [scan_unit = None] ([start] raises [Invalid_argument]
-          otherwise); a fault plan, tracer, profiler or per-step trace
-          falls back to the general engine. Default [false]. *)
 }
 
 val default_config : config
@@ -112,7 +106,6 @@ val config :
   ?cycle_budget:int ->
   ?stall_window:int ->
   ?sanitize:Hsgc_sanitizer.Sanitizer.mode ->
-  ?compiled:bool ->
   n_cores:int ->
   unit ->
   config
@@ -136,8 +129,11 @@ exception Heap_overflow
 
     The record is exposed for the driver (it drains [rm_slots]/
     [rm_children] and resets [rm_n] at barriers); microprogram code
-    only ever appends. Not snapshottable; incompatible with the
-    compiled engine and sub-object scanning (checked by {!start}). *)
+    only ever appends. Not snapshottable; incompatible with sub-object
+    scanning (checked by {!start}). A bank steps one cycle, or one
+    idle-cycle fast-forward, per {!step} call — the batched fast paths
+    are off for banks, so the banked driver's step quantum counts
+    cycles exactly as it always has. *)
 type remote = {
   rm_bank : int;
   rm_lo : int;
@@ -289,9 +285,12 @@ val step : ?trace:Trace.t -> ?horizon:int -> sim -> unit
 (** Advance the coprocessor by one clock cycle — or, when the cycle turns
     out quiescent and skipping is enabled, by as many cycles as it takes
     to reach the next wake-up (statistics credited in bulk, bit-identical
-    to naive stepping). [horizon] caps any fast-forward at the given
-    cycle: a concurrent driver passes the time of its next mutator
-    operation so the coprocessor never jumps past an external event. *)
+    to naive stepping). With the fast paths engaged (see [skip]) a lone
+    awake core may run through many cycles in one call, up to the next
+    foreign wake-up, halting, or the cycle after the start barrier opens
+    ({!roots_done}). [horizon] caps any advance at the given cycle: a
+    concurrent driver passes the time of its next mutator operation so
+    the coprocessor never runs past an external event. *)
 
 val halted : sim -> bool
 (** All cores have passed the end barrier. *)

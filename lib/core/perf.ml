@@ -21,7 +21,9 @@
      during a skip-enabled collection ([Gc.minor_words] around the
      collect). The hot loop is allocation-free in steady state, so this
      amortizes the fixed setup cost (core records, counters) over the
-     run and must stay near zero. *)
+     run and must stay near zero. The stepping loop alone is measured
+     too ([loop_words_per_cycle]), with [start]/[finalize] setup
+     excluded, and must be allocation-free. *)
 
 module Workloads = Hsgc_objgraph.Workloads
 module Coprocessor = Hsgc_coproc.Coprocessor
@@ -29,14 +31,14 @@ module Memsys = Hsgc_memsim.Memsys
 module Counters = Hsgc_coproc.Counters
 module Verify = Hsgc_heap.Verify
 
-(* One (workload, core-count) grid point, collected four times from
-   identical prebuilt heaps: naive stepping, event-driven skipping,
-   skipping with the machine sanitizer attached, and the compiled
-   engine. Simulation statistics of the four runs are equal by the
-   kernel's equivalence invariant, the sanitizer's observe-only
-   contract, and the compiled engine's parity contract (all asserted
-   here — for compiled down to every per-core counter and the verified
-   post-heap); only wall and the executed/skipped split differ. *)
+(* One (workload, core-count) grid point, collected three times from
+   identical prebuilt heaps: naive stepping, the default event-driven
+   engine (skipping plus its fast paths), and skipping with the machine
+   sanitizer attached. Simulation statistics of the three runs are
+   equal by the kernel's equivalence invariant and the sanitizer's
+   observe-only contract (both asserted here — for the default engine
+   down to every per-core counter and the verified post-heap); only
+   wall and the executed/skipped split differ. *)
 type leg = {
   workload : string;
   n_cores : int;
@@ -46,12 +48,10 @@ type leg = {
   naive_wall_s : float; (* sim-only, skip disabled *)
   skip_wall_s : float; (* sim-only, skip enabled *)
   san_wall_s : float; (* sim-only, skip enabled, sanitizer attached *)
-  compiled_wall_s : float; (* sim-only, compiled engine *)
-  minor_words : float; (* minor allocation of the skip run *)
-  compiled_executed : int; (* the compiled run's executed share *)
-  compiled_loop_words : float;
-      (* minor allocation of the compiled run's stepping loop alone
-         (start/finalize setup excluded) — the quantity the compiled
+  minor_words : float; (* minor allocation of the whole skip run *)
+  loop_words : float;
+      (* minor allocation of the skip run's stepping loop alone
+         (start/finalize setup excluded) — the quantity the loop
          allocation gate bounds *)
 }
 
@@ -69,17 +69,10 @@ type aggregate = {
   sanitizer_overhead : float;
       (* sanitizer-on wall over sanitizer-off wall, minus one — the
          fractional throughput cost of attaching the checker *)
-  compiled_s : float;
-  compiled_mcycles_per_s : float;
-  compiled_speedup_vs_skip : float;
-      (* skip wall over compiled wall — both engines simulate the same
-         cycle count in the same process, so the ratio is
-         host-independent even though each wall is not *)
-  compiled_words_per_cycle : float;
-      (* minor words per executed cycle inside the compiled stepping
-         loop alone — must be ~0: the compiled engine's hot path is
-         required to be allocation-free, with no setup amortization
-         excuse *)
+  loop_words_per_cycle : float;
+      (* minor words per executed cycle inside the skip run's stepping
+         loop alone — must be ~0: the hot path is required to be
+         allocation-free, with no setup amortization excuse *)
 }
 
 (* One fully instrumented collection (tracer + profiler enabled) next to
@@ -144,70 +137,58 @@ let default_cores = [ 1; 2; 4; 8; 16 ]
    headroom at scale 0.5: ~0.015 words/cycle, all of it setup. *)
 let words_per_cycle_budget = 0.02
 
-(* The compiled engine's allocation budget is far tighter because its
-   measurement is fairer: the stepping loop is bracketed by
-   [Gc.minor_words] on its own, with [start]/[finalize] setup excluded.
-   The loop is required to be allocation-free — the budget is nonzero
-   only to absorb [caml_minor_words] rounding and the odd word a
-   competing thread of the test runner might charge us. *)
-let compiled_words_per_cycle_budget = 0.005
-
-(* Hard floors for the compiled/skip throughput ratio (see [check]).
-   The design target is 3x; the honest measured aggregate on this grid
-   is far lower (the wall sum is dominated by the dense many-core legs,
-   where per-cycle work is real and batching windows are short — the
-   single-core and latency-bound legs, where batching pays, reach
-   2-5.5x; see docs/PERFORMANCE.md). The floors gate the measured win
-   with headroom for scheduler noise, not the aspiration: measured
-   base aggregate 1.0-1.3x (noisy wall sum), latency-bound 1.14-1.17x
-   (stable). *)
-let compiled_speedup_floor_base = 0.85
-let compiled_speedup_floor_latency = 1.05
+(* The stepping loop's own allocation budget is far tighter because
+   its measurement is fairer: the loop is bracketed by [Gc.minor_words]
+   on its own, with [start]/[finalize] setup excluded. The loop is
+   required to be allocation-free — the budget is nonzero only to
+   absorb [caml_minor_words] rounding and the odd word a competing
+   thread of the test runner might charge us. *)
+let loop_words_per_cycle_budget = 0.005
 
 exception Perf_regression of string
 
-(* The compiled engine's parity contract, checked stat by stat: every
+(* The default engine's parity contract, checked stat by stat: every
    reported simulation statistic must be bit-identical to the naive
    reference — only wall time and the executed/skipped split may
    differ. A single aggregate that happens to match can hide two
    compensating errors; comparing each counter names the first one that
    diverged. *)
-let assert_compiled_parity ~workload ~n_cores ~(naive : Coprocessor.gc_stats)
-    ~(compiled : Coprocessor.gc_stats) =
+let assert_parity ~workload ~n_cores ~(naive : Coprocessor.gc_stats)
+    ~(skip : Coprocessor.gc_stats) =
   let chk what a b =
     if a <> b then
       raise
         (Perf_regression
            (Printf.sprintf
-              "%s/%d cores: compiled engine diverged from naive on %s (%d vs \
-               %d)"
+              "%s/%d cores: event-driven engine diverged from naive on %s (%d \
+               vs %d) — kernel equivalence broken"
               workload n_cores what a b))
   in
-  chk "total_cycles" compiled.total_cycles naive.total_cycles;
-  chk "root_cycles" compiled.root_cycles naive.root_cycles;
-  chk "empty_worklist_cycles" compiled.empty_worklist_cycles
+  chk "total_cycles" skip.total_cycles naive.total_cycles;
+  chk "root_cycles" skip.root_cycles naive.root_cycles;
+  chk "empty_worklist_cycles" skip.empty_worklist_cycles
     naive.empty_worklist_cycles;
-  chk "live_objects" compiled.live_objects naive.live_objects;
-  chk "live_words" compiled.live_words naive.live_words;
-  chk "fifo_hits" compiled.fifo_hits naive.fifo_hits;
-  chk "fifo_misses" compiled.fifo_misses naive.fifo_misses;
-  chk "fifo_overflows" compiled.fifo_overflows naive.fifo_overflows;
-  chk "mem_loads" compiled.mem_loads naive.mem_loads;
-  chk "mem_stores" compiled.mem_stores naive.mem_stores;
-  chk "mem_rejected_bandwidth" compiled.mem_rejected_bandwidth
+  chk "live_objects" skip.live_objects naive.live_objects;
+  chk "live_words" skip.live_words naive.live_words;
+  chk "fifo_hits" skip.fifo_hits naive.fifo_hits;
+  chk "fifo_misses" skip.fifo_misses naive.fifo_misses;
+  chk "fifo_overflows" skip.fifo_overflows naive.fifo_overflows;
+  chk "mem_loads" skip.mem_loads naive.mem_loads;
+  chk "mem_stores" skip.mem_stores naive.mem_stores;
+  chk "mem_rejected_bandwidth" skip.mem_rejected_bandwidth
     naive.mem_rejected_bandwidth;
-  chk "mem_rejected_order" compiled.mem_rejected_order
+  chk "mem_rejected_order" skip.mem_rejected_order
     naive.mem_rejected_order;
-  chk "header_cache_hits" compiled.header_cache_hits naive.header_cache_hits;
-  chk "header_cache_misses" compiled.header_cache_misses
+  chk "header_cache_hits" skip.header_cache_hits naive.header_cache_hits;
+  chk "header_cache_misses" skip.header_cache_misses
     naive.header_cache_misses;
   (* Counters.t is a record of ints, so structural equality compares all
      eleven stall/work counters of every core at once. *)
-  if compiled.per_core <> naive.per_core then
+  if skip.per_core <> naive.per_core then
     raise
       (Perf_regression
          (Printf.sprintf
-            "%s/%d cores: compiled engine diverged from naive on the \
+            "%s/%d cores: event-driven engine diverged from naive on the \
              per-core counters"
             workload n_cores))
 
@@ -215,23 +196,32 @@ let run_leg ~scale ~seed ~mem ~workload ~n_cores =
   let naive_heap = Workloads.build_heap ~scale ~seed workload in
   let skip_heap = Workloads.build_heap ~scale ~seed workload in
   let san_heap = Workloads.build_heap ~scale ~seed workload in
-  let compiled_heap = Workloads.build_heap ~scale ~seed workload in
   (* Canonical reachable-graph snapshot before any collection runs (the
-     four heaps are built identically, so one snapshot serves). The
+     three heaps are built identically, so one snapshot serves). The
      BFS allocates heavily; collect its scratch — and the previous
      leg's verification garbage — before the timed region so snapshot
      debris does not tax the timed walls with GC work. *)
-  let pre = Verify.snapshot compiled_heap in
+  let pre = Verify.snapshot skip_heap in
   Gc.full_major ();
   let naive =
     Coprocessor.collect
       (Coprocessor.config ~mem ~skip:false ~n_cores ())
       naive_heap
   in
+  (* The skip leg runs through the stepped interface so the allocation
+     measurement can bracket both the whole run and the stepping loop
+     alone: [start]/[finalize] legitimately allocate (core records,
+     counters, the stats record), but the loop itself must not. *)
   let w0 = Gc.minor_words () in
-  let skip =
-    Coprocessor.collect (Coprocessor.config ~mem ~skip:true ~n_cores ()) skip_heap
+  let sim =
+    Coprocessor.start (Coprocessor.config ~mem ~skip:true ~n_cores ()) skip_heap
   in
+  let lw0 = Gc.minor_words () in
+  while not (Coprocessor.halted sim) do
+    Coprocessor.step sim
+  done;
+  let loop_words = Gc.minor_words () -. lw0 in
+  let skip = Coprocessor.finalize sim in
   let minor_words = Gc.minor_words () -. w0 in
   let san =
     Coprocessor.collect
@@ -239,53 +229,30 @@ let run_leg ~scale ~seed ~mem ~workload ~n_cores =
          ~sanitize:Hsgc_sanitizer.Sanitizer.Check ~n_cores ())
       san_heap
   in
-  (* The compiled leg runs through the stepped interface so the
-     allocation measurement can bracket the stepping loop alone:
-     [start]/[finalize] legitimately allocate (core records, counters,
-     the stats record), but the loop itself must not. *)
-  let sim =
-    Coprocessor.start (Coprocessor.config ~mem ~compiled:true ~n_cores ())
-      compiled_heap
-  in
-  let lw0 = Gc.minor_words () in
-  while not (Coprocessor.halted sim) do
-    Coprocessor.step sim
-  done;
-  let compiled_loop_words = Gc.minor_words () -. lw0 in
-  let compiled = Coprocessor.finalize sim in
-  assert_compiled_parity ~workload:workload.Workloads.name ~n_cores ~naive
-    ~compiled;
-  (* Semantic verification on top of statistic parity: the compiled
-     run's post-heap is a correct collection of the pre-graph, and is
+  assert_parity ~workload:workload.Workloads.name ~n_cores ~naive ~skip;
+  (* Semantic verification on top of statistic parity: the skip run's
+     post-heap is a correct collection of the pre-graph, and is
      canonically identical to the naive run's post-heap. *)
-  (match Verify.check_collection ~pre compiled_heap with
+  (match Verify.check_collection ~pre skip_heap with
   | Ok () -> ()
   | Error f ->
     raise
       (Perf_regression
-         (Printf.sprintf "%s/%d cores: compiled engine post-heap failed \
+         (Printf.sprintf "%s/%d cores: event-driven post-heap failed \
                           verification: %s"
             workload.Workloads.name n_cores
             (Format.asprintf "%a" Verify.pp_failure f))));
   if
     not
       (Verify.equal_snapshot (Verify.snapshot naive_heap)
-         (Verify.snapshot compiled_heap))
+         (Verify.snapshot skip_heap))
   then
     raise
       (Perf_regression
          (Printf.sprintf
-            "%s/%d cores: compiled engine post-heap differs from naive \
+            "%s/%d cores: event-driven post-heap differs from naive \
              post-heap"
             workload.Workloads.name n_cores));
-  if naive.Coprocessor.total_cycles <> skip.Coprocessor.total_cycles then
-    raise
-      (Perf_regression
-         (Printf.sprintf
-            "%s/%d cores: skip run took %d cycles, naive %d — kernel \
-             equivalence broken"
-            workload.Workloads.name n_cores skip.Coprocessor.total_cycles
-            naive.Coprocessor.total_cycles));
   if san.Coprocessor.total_cycles <> skip.Coprocessor.total_cycles then
     raise
       (Perf_regression
@@ -310,10 +277,8 @@ let run_leg ~scale ~seed ~mem ~workload ~n_cores =
     naive_wall_s = naive.Coprocessor.wall_seconds;
     skip_wall_s = skip.Coprocessor.wall_seconds;
     san_wall_s = san.Coprocessor.wall_seconds;
-    compiled_wall_s = compiled.Coprocessor.wall_seconds;
     minor_words;
-    compiled_executed = compiled.Coprocessor.executed_cycles;
-    compiled_loop_words;
+    loop_words;
   }
 
 let aggregate legs =
@@ -325,10 +290,8 @@ let aggregate legs =
   let naive_s = sumf (fun l -> l.naive_wall_s) in
   let skip_s = sumf (fun l -> l.skip_wall_s) in
   let san_s = sumf (fun l -> l.san_wall_s) in
-  let compiled_s = sumf (fun l -> l.compiled_wall_s) in
   let words = sumf (fun l -> l.minor_words) in
-  let compiled_executed = sum (fun l -> l.compiled_executed) in
-  let compiled_words = sumf (fun l -> l.compiled_loop_words) in
+  let loop_words = sumf (fun l -> l.loop_words) in
   let rate wall = if wall > 0.0 then float_of_int cycles /. wall /. 1e6 else 0.0 in
   {
     sim_cycles = cycles;
@@ -344,13 +307,8 @@ let aggregate legs =
       (if executed > 0 then words /. float_of_int executed else 0.0);
     sanitize_s = san_s;
     sanitizer_overhead = (san_s /. Float.max 1e-9 skip_s) -. 1.0;
-    compiled_s;
-    compiled_mcycles_per_s = rate compiled_s;
-    compiled_speedup_vs_skip = skip_s /. Float.max 1e-9 compiled_s;
-    compiled_words_per_cycle =
-      (if compiled_executed > 0 then
-         compiled_words /. float_of_int compiled_executed
-       else 0.0);
+    loop_words_per_cycle =
+      (if executed > 0 then loop_words /. float_of_int executed else 0.0);
   }
 
 let grid ~scale ~seed ~mem ~cores ~progress =
@@ -547,14 +505,13 @@ let run ?(scale = 0.5) ?(seed = 42) ?(cores = default_cores)
             "hot loop allocates %.4f minor words per executed cycle (budget \
              %.2f) — steady state is no longer allocation-free"
             base.words_per_cycle words_per_cycle_budget));
-  if base.compiled_words_per_cycle > compiled_words_per_cycle_budget then
+  if base.loop_words_per_cycle > loop_words_per_cycle_budget then
     raise
       (Perf_regression
          (Printf.sprintf
-            "compiled stepping loop allocates %.5f minor words per executed \
-             cycle (budget %.3f) — the compiled hot path must be \
-             allocation-free"
-            base.compiled_words_per_cycle compiled_words_per_cycle_budget));
+            "stepping loop allocates %.5f minor words per executed cycle \
+             (budget %.3f) — the hot path must be allocation-free"
+            base.loop_words_per_cycle loop_words_per_cycle_budget));
   {
     scale;
     seed;
@@ -586,13 +543,8 @@ let json_of_aggregate ~indent a =
       Printf.sprintf "%s\"words_per_cycle\": %.5f,\n" pad a.words_per_cycle;
       Printf.sprintf "%s\"sanitize_wall_s\": %.4f,\n" pad a.sanitize_s;
       Printf.sprintf "%s\"sanitizer_overhead\": %.4f,\n" pad a.sanitizer_overhead;
-      Printf.sprintf "%s\"compiled_wall_s\": %.4f,\n" pad a.compiled_s;
-      Printf.sprintf "%s\"compiled_mcycles_per_s\": %.2f,\n" pad
-        a.compiled_mcycles_per_s;
-      Printf.sprintf "%s\"compiled_speedup_vs_skip\": %.2f,\n" pad
-        a.compiled_speedup_vs_skip;
-      Printf.sprintf "%s\"compiled_words_per_cycle\": %.5f" pad
-        a.compiled_words_per_cycle;
+      Printf.sprintf "%s\"loop_words_per_cycle\": %.5f" pad
+        a.loop_words_per_cycle;
     ]
 
 let to_json suite =
@@ -619,18 +571,13 @@ let to_json suite =
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"workload\": \"%s\", \"cores\": %d, \"cycles\": %d, \
-            \"skipped_frac\": %.4f, \"skip_mcycles_per_s\": %.2f, \
-            \"compiled_wall_s\": %.4f, \"compiled_mcycles_per_s\": %.2f}"
+            \"skipped_frac\": %.4f, \"skip_mcycles_per_s\": %.2f}"
            l.workload l.n_cores l.cycles
            (if l.cycles > 0 then
               float_of_int l.skipped /. float_of_int l.cycles
             else 0.0)
            (if l.skip_wall_s > 0.0 then
               float_of_int l.cycles /. l.skip_wall_s /. 1e6
-            else 0.0)
-           l.compiled_wall_s
-           (if l.compiled_wall_s > 0.0 then
-              float_of_int l.cycles /. l.compiled_wall_s /. 1e6
             else 0.0)))
     suite.base_legs;
   Buffer.add_string buf "\n  ],\n";
@@ -694,23 +641,18 @@ let summary suite =
     [
       Printf.sprintf
         "base     : %.2f Mcycles/s skip (naive %.2f, speedup %.2fx), %.1f%% \
-         skipped, %.5f minor words/cycle, sanitizer +%.1f%%"
+         skipped, %.5f minor words/cycle (loop %.5f), sanitizer +%.1f%%"
         a.skip_mcycles_per_s a.naive_mcycles_per_s a.skip_speedup
         (100.0 *. a.skipped_frac)
-        a.words_per_cycle
+        a.words_per_cycle a.loop_words_per_cycle
         (100.0 *. a.sanitizer_overhead);
       Printf.sprintf
-        "compiled : %.2f Mcycles/s (%.2fx over skip), %.5f loop minor \
-         words/cycle"
-        a.compiled_mcycles_per_s a.compiled_speedup_vs_skip
-        a.compiled_words_per_cycle;
-      Printf.sprintf
         "latency+%d: %.2f Mcycles/s skip (naive %.2f, speedup %.2fx), %.1f%% \
-         skipped; compiled %.2f Mcycles/s (%.2fx over skip)"
+         skipped, %.5f loop minor words/cycle"
         suite.latency_extra l.skip_mcycles_per_s l.naive_mcycles_per_s
         l.skip_speedup
         (100.0 *. l.skipped_frac)
-        l.compiled_mcycles_per_s l.compiled_speedup_vs_skip;
+        l.loop_words_per_cycle;
       Printf.sprintf
         "obs probe: %s/%d cores, %d events (%d dropped), busy/stall/idle \
          %.1f/%.1f/%.1f%%, tracer-on +%.1f%%"
@@ -769,7 +711,7 @@ let field_of_json text name =
 
 (* The regression gate compares only host-independent metrics: the
    skipping fractions are deterministic simulation statistics, the
-   allocation rate is a property of the compiled hot loop, and the
+   allocation rates are properties of the hot loop, and the
    speedup ratios divide two walls measured on the same machine in the
    same process. Absolute Mcycles/s is recorded for humans but never
    gated — CI runners and dev laptops differ by integer factors. *)
@@ -830,29 +772,6 @@ let check ~baseline suite =
       "latency-bound skip speedup is %.2fx (< 1.00x): event-driven stepping \
        must beat naive stepping when memory-bound"
       suite.latency.skip_speedup;
-  (* Compiled-engine throughput, gated as the ratio over the skip engine:
-     both walls come from the same process on the same host simulating
-     the same cycles, so the ratio is host-independent — a hard floor
-     travels between CI runners and laptops where absolute Mcycles/s
-     cannot. Gated against both the absolute floor and the recorded
-     baseline (only-if-recorded, so pre-compiled baselines skip it). *)
-  if suite.base.compiled_speedup_vs_skip < compiled_speedup_floor_base then
-    err
-      "base compiled/skip speedup is %.2fx (floor %.2fx): the compiled \
-       engine fell behind event-driven skipping"
-      suite.base.compiled_speedup_vs_skip compiled_speedup_floor_base;
-  if suite.latency.compiled_speedup_vs_skip < compiled_speedup_floor_latency
-  then
-    err
-      "latency-bound compiled/skip speedup is %.2fx (floor %.2fx): batched \
-       retirement must win where skipping pays"
-      suite.latency.compiled_speedup_vs_skip compiled_speedup_floor_latency;
-  (match field_of_json baseline "compiled_speedup_vs_skip" with
-  | None -> ()
-  | Some s0 ->
-    if suite.base.compiled_speedup_vs_skip < s0 *. (1.0 -. tol) then
-      err "base compiled/skip speedup regressed: %.2fx vs baseline %.2fx"
-        suite.base.compiled_speedup_vs_skip s0);
   (* Sanitizer-on overhead: gated only against baselines that record it
      (pre-sanitizer baselines simply skip the check). Although a ratio
      of two same-host wall times, it swings tens of points between runs

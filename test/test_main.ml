@@ -29,7 +29,7 @@ let () =
       ("exhaustive", Test_exhaustive.suite);
       ("experiment", Test_experiment.suite);
       ("kernel", Test_kernel.suite);
-      ("compiled", Test_compiled.suite);
+      ("engine", Test_engine.suite);
       ("banked", Test_banked.suite);
       ("checkpoint", Test_checkpoint.suite);
       ("fault", Test_fault.suite);

@@ -39,10 +39,10 @@ ban 'Printf\.printf' 'bare stdout formatting from library code'
 
 # The cycle-stepped hot-path modules additionally ban closure literals:
 # under classic ocamlopt (no flambda) a [fun () -> ...] that captures
-# anything heap-allocates at every evaluation, and the compiled engine's
-# contract is a zero-allocation stepping loop (gated by the perf suite's
-# compiled_words_per_cycle budget). Thunks belong in the setup layer,
-# not in per-cycle code.
+# anything heap-allocates at every evaluation, and the stepping loop's
+# contract is zero allocation (gated by the perf suite's
+# loop_words_per_cycle budget). Thunks belong in the setup layer, not in
+# per-cycle code.
 ban_hot() {
   file="$1"
   hits=$(grep -nE 'fun \(\) ->' "$root/$file" 2>/dev/null)
