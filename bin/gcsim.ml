@@ -11,7 +11,6 @@ module Workloads = Hsgc_objgraph.Workloads
 module Mutator = Hsgc_objgraph.Mutator
 module Coprocessor = Hsgc_coproc.Coprocessor
 module Banked = Hsgc_coproc.Banked
-module Partition = Hsgc_sim.Partition
 module Domain_pool = Hsgc_sim.Domain_pool
 module Counters = Hsgc_coproc.Counters
 module Trace = Hsgc_coproc.Trace
@@ -62,6 +61,17 @@ let sanitize_arg =
            $(b,--sanitize) records findings and exits with code 5 if any; \
            $(b,--sanitize=strict) aborts at the first violation.")
 
+(* Every usage error exits 2: a malformed option value (mapped from
+   cmdliner's own code in [main]) as well as a rejected combination. *)
+let exits =
+  Cmd.Exit.info 2
+    ~doc:
+      "on usage errors: a malformed option value or a rejected combination \
+       of options."
+  :: List.filter
+       (fun i -> Cmd.Exit.info_code i <> Cmd.Exit.cli_error)
+       Cmd.Exit.defaults
+
 (* Integer argument converters that reject values Memsys.validate_config
    would refuse, so the user gets a clean usage error instead of an
    Invalid_argument backtrace from deep inside the simulator. *)
@@ -108,7 +118,10 @@ let workload_opt_arg =
            snapshot records it).")
 
 let cores_arg =
-  Arg.(value & opt int 8 & info [ "n"; "cores" ] ~doc:"Number of GC cores.")
+  Arg.(
+    value
+    & opt (positive_conv "cores") 8
+    & info [ "n"; "cores" ] ~doc:"Number of GC cores.")
 
 let scale_arg =
   Arg.(value & opt float 1.0 & info [ "scale" ] ~doc:"Workload size multiplier.")
@@ -242,7 +255,7 @@ let list_cmd =
       Workloads.all;
     0
   in
-  Cmd.v (Cmd.info "list" ~doc:"list available workloads") Term.(const run $ const ())
+  Cmd.v (Cmd.info ~exits "list" ~doc:"list available workloads") Term.(const run $ const ())
 
 let cycle_budget_arg =
   Arg.(
@@ -414,41 +427,40 @@ let run_with_checkpoints ~workload ~n_cores ~scale ~seed ~mem ~scan_unit
       ~pre:(if verify then Some pre else None)
       heap stats
 
-(* The banked machine is its own run path: every non-default stepping
-   or observation mode is either meaningless for it (checkpoints of
-   per-bank machines) or has no banked variant (naive stepping,
-   sub-object scanning, the profiler) — reject them up front with a
-   usage error rather than silently ignoring them. *)
+(* The banked machine is its own run path. The profiler has no banked
+   variant and per-bank machines are not snapshottable, so those modes
+   are rejected up front with a usage error rather than silently
+   ignored; [Banked.validate] owns the bank-count and sub-object
+   scanning rules. *)
 let run_banked ~workload ~n_cores ~scale ~seed ~mem ~scan_unit ~verify
     ~no_skip ~cycle_budget ~sanitize ~profile ~banks ~ckpt_every ~ckpt_dir
-    ~resume_from ~bank_quantum =
+    ~resume_from =
   let reject msg =
     Format.eprintf "gcsim run: %s@." msg;
     exit 2
   in
-  if no_skip then reject "--banked is incompatible with --no-skip";
   if profile then
     reject "--banked is incompatible with --profile (no banked profiler)";
-  if scan_unit_opt scan_unit <> None then
-    reject "--banked is incompatible with --scan-unit";
   if ckpt_every <> None || ckpt_dir <> None || resume_from <> None then
     reject
       "--banked is incompatible with checkpointing (per-bank machines are \
        not snapshottable)";
   let banks =
-    match banks with
-    | Some b -> (
-      match Partition.validate_banked ~n_cores ~n_partitions:b with
-      | Ok () -> b
-      | Error msg -> reject ("--banks: " ^ msg))
-    | None -> Partition.default_banked_partitions ~n_cores
+    match banks with Some b -> b | None -> Banked.default_banks ~n_cores
   in
+  let cfg =
+    Coprocessor.config ~mem
+      ?scan_unit:(scan_unit_opt scan_unit)
+      ?cycle_budget ~sanitize ~skip:(not no_skip) ~n_cores ()
+  in
+  (match Banked.validate ~banks cfg with
+  | Ok () -> ()
+  | Error msg -> reject ("--banked: " ^ msg));
   let workload = require_workload workload in
   let heap = Workloads.build_heap ~scale ~seed workload in
   let pre = if verify then Some (Verify.snapshot heap) else None in
-  let cfg = Coprocessor.config ~mem ?cycle_budget ~sanitize ~n_cores () in
   collect_or_exit
-    (fun () -> Banked.collect ?quantum:bank_quantum ~banks cfg heap)
+    (fun () -> Banked.collect ~banks cfg heap)
     (fun (stats, bstats) ->
       report_run
         ~header:
@@ -459,16 +471,15 @@ let run_banked ~workload ~n_cores ~scale ~seed ~mem ~scan_unit ~verify
 let run_cmd =
   let run workload n_cores scale seed extra_latency fifo bandwidth header_cache
       scan_unit verify no_skip cycle_budget sanitize profile ckpt_every
-      ckpt_dir resume_from banked banks bank_quantum =
+      ckpt_dir resume_from banked banks =
     let mem = mem_config extra_latency fifo bandwidth header_cache in
     if banked then
       run_banked ~workload ~n_cores ~scale ~seed ~mem ~scan_unit ~verify
         ~no_skip ~cycle_budget ~sanitize ~profile ~banks ~ckpt_every
-        ~ckpt_dir ~resume_from ~bank_quantum
+        ~ckpt_dir ~resume_from
     else begin
-      if banks <> None || bank_quantum <> None then begin
-        Format.eprintf "gcsim run: --%s needs --banked@."
-          (if banks <> None then "banks" else "bank-quantum");
+      if banks <> None then begin
+        Format.eprintf "gcsim run: --banks needs --banked@.";
         exit 2
       end;
       if ckpt_every <> None || ckpt_dir <> None || resume_from <> None then begin
@@ -566,8 +577,9 @@ let run_cmd =
              differential harness; see docs/PARALLEL.md). \
              $(b,--banks) selects the bank count; the host domains \
              stepping the banks are chosen automatically and never change \
-             a result. Incompatible with $(b,--no-skip), $(b,--profile), $(b,--scan-unit) and \
-             checkpointing.")
+             a result. $(b,--no-skip) steps every bank naively and must \
+             print the same statistics. Incompatible with $(b,--profile), \
+             $(b,--scan-unit) and checkpointing.")
   in
   let banks_arg =
     Arg.(
@@ -581,25 +593,14 @@ let run_cmd =
              otherwise). The bank count is simulated hardware, so it \
              changes cycle counts. Needs $(b,--banked).")
   in
-  let bank_quantum_arg =
-    Arg.(
-      value
-      & opt (some (positive_conv "bank quantum")) None
-      & info [ "bank-quantum" ] ~docv:"STEPS"
-          ~doc:
-            "Step calls each bank gets per superstep between arbitration \
-             barriers (default 512). Any value yields the same final heap \
-             and live-set statistics; only the arbitration interleave's \
-             cycle accounting shifts. Needs $(b,--banked).")
-  in
   Cmd.v
-    (Cmd.info "run" ~doc:"run one collection and print full statistics")
+    (Cmd.info ~exits "run" ~doc:"run one collection and print full statistics")
     Term.(
       const run $ workload_opt_arg $ cores_arg $ scale_arg $ seed_arg
       $ latency_arg $ fifo_arg $ bandwidth_arg $ header_cache_arg
       $ scan_unit_arg $ verify_arg $ no_skip_arg $ cycle_budget_arg
       $ sanitize_arg $ profile_arg $ ckpt_every_arg $ ckpt_dir_arg
-      $ resume_from_arg $ banked_arg $ banks_arg $ bank_quantum_arg)
+      $ resume_from_arg $ banked_arg $ banks_arg)
 
 let sweep_cmd =
   let run workload scale seed extra_latency fifo bandwidth header_cache verify
@@ -624,7 +625,7 @@ let sweep_cmd =
     0
   in
   Cmd.v
-    (Cmd.info "sweep" ~doc:"sweep core counts and report speedups")
+    (Cmd.info ~exits "sweep" ~doc:"sweep core counts and report speedups")
     Term.(
       const run $ workload_arg $ scale_arg $ seed_arg $ latency_arg $ fifo_arg
       $ bandwidth_arg $ header_cache_arg $ verify_arg $ jobs_arg)
@@ -672,7 +673,7 @@ let cycles_cmd =
       & info [ "churn" ] ~doc:"Objects the mutator allocates between GCs.")
   in
   Cmd.v
-    (Cmd.info "cycles"
+    (Cmd.info ~exits "cycles"
        ~doc:"run repeated collections with mutator churn in between")
     Term.(
       const run $ workload_arg $ cores_arg $ scale_arg $ seed_arg $ gcs_arg
@@ -728,7 +729,8 @@ let trace_cmd =
   in
   let interval_arg =
     Arg.(
-      value & opt int 16
+      value
+      & opt (positive_conv "interval") 16
       & info [ "interval" ]
           ~doc:
             "Cycles between samples (signal samples for ascii/csv, counter \
@@ -755,7 +757,7 @@ let trace_cmd =
           ~doc:"Write the export to $(docv) instead of stdout.")
   in
   Cmd.v
-    (Cmd.info "trace"
+    (Cmd.info ~exits "trace"
        ~doc:
          "collect once while sampling internal signals; print an activity \
           timeline, CSV samples, or a Perfetto trace (the paper's monitoring \
@@ -823,7 +825,7 @@ let ablate_cmd =
     0
   in
   Cmd.v
-    (Cmd.info "ablate"
+    (Cmd.info ~exits "ablate"
        ~doc:"sweep the design parameters DESIGN.md calls out (FIFO, bandwidth)")
     Term.(const run $ scale_arg $ seed_arg)
 
@@ -865,7 +867,8 @@ let concurrent_cmd =
   in
   let period_arg =
     Arg.(
-      value & opt int 4
+      value
+      & opt (positive_conv "period") 4
       & info [ "period" ] ~doc:"Coprocessor cycles between mutator operations.")
   in
   let alloc_arg =
@@ -874,7 +877,7 @@ let concurrent_cmd =
       & info [ "alloc-percent" ] ~doc:"Share of mutator operations that allocate.")
   in
   Cmd.v
-    (Cmd.info "concurrent"
+    (Cmd.info ~exits "concurrent"
        ~doc:"collect while the main processor keeps running (Section VII next step)")
     Term.(
       const run $ workload_arg $ cores_arg $ scale_arg $ seed_arg $ period_arg
@@ -965,7 +968,7 @@ let chaos_cmd =
              Exits 3 unless both rates are 100%.")
   in
   Cmd.v
-    (Cmd.info "chaos"
+    (Cmd.info ~exits "chaos"
        ~doc:
          "run the fault-injection campaign matrix (fault class x intensity x \
           workload) and report termination, detection, and overhead rates")
@@ -1046,7 +1049,7 @@ let bench_cmd =
              scale).")
   in
   Cmd.v
-    (Cmd.info "bench"
+    (Cmd.info ~exits "bench"
        ~doc:
          "time the stepping loop on prebuilt heaps (sim-only wall) across the \
           fig5 grid, naive vs event-driven, at base and +20-cycle memory \
@@ -1285,7 +1288,7 @@ let model_cmd =
     Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress progress lines.")
   in
   Cmd.v
-    (Cmd.info "model"
+    (Cmd.info ~exits "model"
        ~doc:
          "bounded model checker for the hardware-sync protocol: exhaustively \
           verify every core interleaving of an abstracted collector \
@@ -1299,10 +1302,12 @@ let model_cmd =
 
 let () =
   let doc = "fine-grained parallel compacting GC coprocessor simulator" in
-  exit
-    (Cmd.eval'
-       (Cmd.group (Cmd.info "gcsim" ~doc)
-          [
-            list_cmd; run_cmd; sweep_cmd; cycles_cmd; trace_cmd; ablate_cmd;
-            concurrent_cmd; chaos_cmd; bench_cmd; model_cmd;
-          ]))
+  let code =
+    Cmd.eval'
+      (Cmd.group (Cmd.info ~exits "gcsim" ~doc)
+         [
+           list_cmd; run_cmd; sweep_cmd; cycles_cmd; trace_cmd; ablate_cmd;
+           concurrent_cmd; chaos_cmd; bench_cmd; model_cmd;
+         ])
+  in
+  exit (if code = Cmd.Exit.cli_error then 2 else code)

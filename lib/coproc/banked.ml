@@ -8,11 +8,43 @@ module H = Hsgc_heap.Heap
 module Hdr = Hsgc_heap.Header
 module Semispace = Hsgc_heap.Semispace
 module Verify = Hsgc_heap.Verify
-module Partition = Hsgc_sim.Partition
 module Pool = Hsgc_sim.Domain_pool.Pool
 module C = Coprocessor
 
 let default_quantum = 512
+
+(* --- configuration rules --------------------------------------------- *)
+
+(* Largest divisor of [n] that is at most [p] (1 at worst). *)
+let rec divisor_at_most n p =
+  if n mod p = 0 then p else divisor_at_most n (p - 1)
+
+let validate ~banks cfg =
+  let n_cores = cfg.C.n_cores in
+  if n_cores < 1 then
+    Error (Printf.sprintf "core count must be >= 1 (got %d)" n_cores)
+  else if banks < 1 then
+    Error (Printf.sprintf "bank count must be >= 1 (got %d)" banks)
+  else if banks > n_cores then
+    Error
+      (Printf.sprintf "bank count (%d) exceeds the core count (%d)" banks
+         n_cores)
+  else if n_cores mod banks <> 0 then
+    Error
+      (Printf.sprintf
+         "the bank count must divide the core count: %d cores cannot be \
+          split into %d equal banks (try %d)"
+         n_cores banks
+         (divisor_at_most n_cores banks))
+  else if cfg.C.scan_unit <> None then
+    (* Sub-object pieces would split one object's slots across
+       arbitration rounds. *)
+    Error "sub-object scanning (scan_unit) has no banked variant"
+  else Ok ()
+
+(* The bank count is simulated hardware, so its default — the largest
+   divisor of the core count up to 4 — never depends on the host. *)
+let default_banks ~n_cores = divisor_at_most n_cores (max 1 (min n_cores 4))
 
 type stats = {
   banks : int;
@@ -219,12 +251,14 @@ let arbitrate d =
   end
 
 (* One parallel quantum: every non-quiescent bank advances by up to
-   [quantum] step calls (each call is one cycle, or a fast-forward over
-   a skippable span) on its round-robin pool lane. Quiescent banks are
-   parked — not stepped at all — until arbitration refills their
-   worklist. Bank state is touched only by its own lane during the
-   quantum and only by the leader between quanta; the pool's mutex
-   hand-off orders both directions. *)
+   [quantum] simulated cycles on its round-robin pool lane, stopping
+   early where it goes quiescent. Every step is capped at the bank's
+   horizon, so the superstep boundary is a point in simulated time and
+   naive and event-driven stepping reach the same barrier state.
+   Quiescent banks are parked — not stepped at all — until arbitration
+   refills their worklist. Bank state is touched only by its own lane
+   during the quantum and only by the leader between quanta; the
+   pool's mutex hand-off orders both directions. *)
 let quantum_step d =
   let lanes = Pool.lanes d.pool in
   let todo = Array.map (fun b -> not (C.quiescent b.sim)) d.bks in
@@ -236,14 +270,13 @@ let quantum_step d =
         Array.iter
           (fun b ->
             if b.id mod lanes = lane && todo.(b.id) then begin
-              let steps = ref 0 in
+              let horizon = C.now b.sim + d.quantum in
               while
-                !steps < d.quantum
+                C.now b.sim < horizon
                 && (not (C.halted b.sim))
                 && not (C.quiescent b.sim)
               do
-                C.step b.sim;
-                incr steps
+                C.step ~horizon b.sim
               done
             end)
           d.bks)
@@ -388,16 +421,10 @@ let aggregate d ~per_bank ~wall ~stitch_cycles ~live_words =
 
 (* --- the run --------------------------------------------------------- *)
 
-let validate_config cfg ~banks =
-  (match Partition.validate_banked ~n_cores:cfg.C.n_cores ~n_partitions:banks
-   with
+let collect ?(lanes = 0) ?(quantum = default_quantum) ~banks cfg heap =
+  (match validate ~banks cfg with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Banked.collect: " ^ msg));
-  if cfg.C.scan_unit <> None then
-    invalid_arg "Banked.collect: sub-object scanning has no banked variant"
-
-let collect ?(lanes = 0) ?(quantum = default_quantum) ~banks cfg heap =
-  validate_config cfg ~banks;
   if quantum < 1 then invalid_arg "Banked.collect: quantum must be >= 1";
   let wall_start = Monotonic_clock.now () in
   let lanes =

@@ -46,17 +46,35 @@
       evacuation.
 
     Determinism: a superstep gives every non-quiescent bank a fixed
-    number of step calls ([quantum]); a bank's evolution depends only
-    on its own state and its inbox at the superstep start, and the
+    number of simulated cycles ([quantum]); a bank's evolution depends
+    only on its own state and its inbox at the superstep start, and the
     barrier drains outboxes in bank order — so every statistic and the
-    final heap are byte-identical for any lane count and across
-    repeated runs. *)
+    final heap are byte-identical for any lane count, across repeated
+    runs, and under naive stepping ([skip = false]) and the default
+    engine (walls and the executed/skipped split aside). *)
 
 val default_quantum : int
-(** Step calls per bank per superstep when the caller does not choose
-    ([512]). Smaller quanta tighten arbitration latency; larger quanta
-    amortize barrier overhead. Any value ≥ 1 yields the same final
-    heap; only cycle accounting of the arbitration interleave shifts. *)
+(** Simulated cycles per bank per superstep when the caller does not
+    choose ([512]). A bank stops early when it goes quiescent. Smaller
+    quanta tighten arbitration latency; larger quanta amortize barrier
+    overhead. Any value ≥ 1 yields the same final heap; only cycle
+    accounting of the arbitration interleave shifts. *)
+
+val validate : banks:int -> Coprocessor.config -> (unit, string) result
+(** The banked machine's configuration rules. [Error msg] when the core
+    count or [banks] is [< 1], when there are more banks than cores,
+    when [banks] does not divide [config.n_cores] (equal banks; one
+    core per bank is the limit case, and the message names the nearest
+    valid count below), or when the config requests sub-object
+    scanning, which has no banked variant. The message is suitable for
+    a CLI error. *)
+
+val default_banks : n_cores:int -> int
+(** Largest divisor of [n_cores] that is [<= 4] — the default bank
+    count. It is a hardware constant: it never depends on the host, so
+    the same command simulates the same machine everywhere (the host
+    lanes that step the banks are chosen separately). Always passes
+    {!validate} for a config without sub-object scanning. *)
 
 (** Per-run statistics of the banked driver, alongside the aggregate
     {!Coprocessor.gc_stats}. *)
@@ -111,10 +129,8 @@ val collect :
 
     [lanes] (default: auto, clamped to [banks]) is the host-domain
     count; it changes wall-clock time only, never a statistic or the
-    heap. Raises [Invalid_argument] when [banks] fails
-    {!Hsgc_sim.Partition.validate_banked} against [config.n_cores],
-    when [quantum < 1], or when the config requests sub-object
-    scanning (it has no banked variant).
+    heap. Raises [Invalid_argument] when {!validate} rejects the
+    config or when [quantum < 1].
     Raises {!Coprocessor.Heap_overflow} as the dense machine would. *)
 
 (** {2 The differential harness} *)

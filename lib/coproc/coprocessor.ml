@@ -1108,7 +1108,7 @@ let start ?(obs = Obs.disabled) ?(prof = Prof.disabled) ?remote cfg heap =
     fast =
       cfg.skip && cfg.sanitize = San.Off && Option.is_none cfg.faults
       && (not obs.Obs.on) && (not prof.Prof.on)
-      && Option.is_none cfg.scan_unit && Option.is_none remote
+      && Option.is_none cfg.scan_unit
       (* The parked-core set is one bit per core in an OCaml int. *)
       && cfg.n_cores <= 62;
     plain_ports =
@@ -1494,9 +1494,9 @@ let core_next_wake t ~core =
    One stepping engine, with fast paths chosen at [start] from what the
    machine can observe about itself ([t.fast]): idle-cycle skipping on,
    no sanitizer, no fault plan, no tracer or profiler, whole-object
-   scanning, not a bank of the banked machine, and at most 62 cores
-   (the parked-core set is one bit per core in an OCaml int). Under
-   those guards the engine additionally
+   scanning, and at most 62 cores (the parked-core set is one bit per
+   core in an OCaml int). Banks of the banked machine qualify too.
+   Under those guards the engine additionally
 
    - parks scan-lock spinners and credits their spins in bulk at the
      release that wakes them;
@@ -1507,9 +1507,9 @@ let core_next_wake t ~core =
      the next semantic decision point.
 
    Port ticks take their flat-int fast path ([tick_ports]) whenever no
-   hook, fault plan or tracer could observe them, banks included. A
-   per-step trace drops out of the fast path for that step; naive
-   stepping ([skip = false]) never enters it.
+   hook, fault plan or tracer could observe them. A per-step trace
+   drops out of the fast path for that step; naive stepping
+   ([skip = false]) never enters it.
 
    The contract is the skipper's: every reported statistic is
    bit-identical to naive stepping; only wall time and the
@@ -1771,8 +1771,9 @@ let rec data_run_go t c ~fromb ~tob ~pi ~slot_limit ~lat_l ~lat_s ~limit w
     slot words gaps =
   let heap = t.heap.H.mem in
   let v = Array.unsafe_get heap (fromb + slot) in
-  if slot < pi && v <> H.null then begin
-    (* Pointer slot: this word cycle consumes it and turns to the
+  let ptr = slot < pi && v <> H.null in
+  if ptr && v >= t.remote.rm_lo && v < t.remote.rm_hi then begin
+    (* Home pointer slot: this word cycle consumes it and turns to the
        child ([step_body_wait]'s first arm). Every copied word issued
        a next load ([next_loads = words]). *)
     c.bl.Port.st <- Port.st_idle;
@@ -1782,6 +1783,9 @@ let rec data_run_go t c ~fromb ~tob ~pi ~slot_limit ~lat_l ~lat_s ~limit w
       ~next_loads:words
   end
   else begin
+    (* Data word, null pointer, or (banks only) a foreign pointer
+       stored stale and recorded in the outbox, as in [step_body_wait]. *)
+    if ptr then remote_push t.remote ~slot:(tob + slot) ~child:v;
     Array.unsafe_set heap (tob + slot) v;
     let slot = slot + 1 and words = words + 1 in
     if slot >= slot_limit then begin
@@ -1873,10 +1877,11 @@ let wd_flush t =
 
    Exits once the clock reaches [limit], the core's own wake passes
    the current cycle (the caller re-evaluates the machine shape), or
-   the start barrier opened ([roots_done] is the phase at entry): a
-   driver polling [roots_done] between steps — the concurrent
-   mutator's pause ends there — sees the cycle after the opening, as
-   with per-cycle stepping. One exclusive cycle per call,
+   the start barrier opened ([roots_done] is the phase at entry), or a
+   bank went [quiescent]: a driver polling either between steps — the
+   concurrent mutator's pause ends at the opening, the banked driver
+   parks a quiescent bank — sees the same cycle as with per-cycle
+   stepping. One exclusive cycle per call,
    tail-recursively (top-level recursion with plain arguments: a
    [while] over [ref] state would box the refs and a local flush
    closure would allocate per segment — the stepping loop's allocation
@@ -1884,7 +1889,11 @@ let wd_flush t =
 let rec exclusive_loop ?horizon t c ~limit ~macro_ok ~roots_done =
   let clock = t.clock in
   let n0 = clock.Kernel.now in
-  if n0 >= limit || c.wake > n0 || t.parallel_phase <> roots_done then ()
+  if
+    n0 >= limit || c.wake > n0
+    || t.parallel_phase <> roots_done
+    || ((not t.remote.rm_allow_finish) && quiescent t)
+  then ()
   else begin
     t.mem.Mem.cycle <- n0;
     t.mem.Mem.accepted_this_cycle <- 0;

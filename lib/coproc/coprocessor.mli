@@ -56,12 +56,12 @@ type config = {
 
           With skipping on, {!start} also engages the fast paths when
           the run allows them: sanitizer [Off], no fault plan, no tracer
-          or profiler enabled, [scan_unit = None], not a bank
-          ([?remote]), and at most 62 cores. They park cores spinning on
-          a held scan lock (crediting the spins in bulk at the release),
-          run a lone awake core alone up to the next foreign wake-up,
-          and retire the body-copy inner loop's data-word runs in closed
-          form. Same contract: only wall time and the executed/skipped
+          or profiler enabled, [scan_unit = None], and at most 62 cores
+          (banks of the banked machine included). They park cores
+          spinning on a held scan lock (crediting the spins in bulk at
+          the release), run a lone awake core alone up to the next
+          foreign wake-up, and retire the body-copy inner loop's
+          data-word runs in closed form. Same contract: only wall time and the executed/skipped
           split move. A step given [?trace] runs per-cycle. *)
   faults : Hsgc_fault.Injector.spec option;
       (** fault-injection plan ({!Hsgc_fault.Injector}). Each simulator
@@ -130,10 +130,10 @@ exception Heap_overflow
     The record is exposed for the driver (it drains [rm_slots]/
     [rm_children] and resets [rm_n] at barriers); microprogram code
     only ever appends. Not snapshottable; incompatible with sub-object
-    scanning (checked by {!start}). A bank steps one cycle, or one
-    idle-cycle fast-forward, per {!step} call — the batched fast paths
-    are off for banks, so the banked driver's step quantum counts
-    cycles exactly as it always has. *)
+    scanning (checked by {!start}). A bank steps like any machine, fast
+    paths included; the banked driver bounds each superstep in
+    simulated cycles ([step ~horizon]) and stops a bank once it is
+    {!quiescent}, which ends any multi-cycle [step] too. *)
 type remote = {
   rm_bank : int;
   rm_lo : int;
@@ -287,10 +287,12 @@ val step : ?trace:Trace.t -> ?horizon:int -> sim -> unit
     to reach the next wake-up (statistics credited in bulk, bit-identical
     to naive stepping). With the fast paths engaged (see [skip]) a lone
     awake core may run through many cycles in one call, up to the next
-    foreign wake-up, halting, or the cycle after the start barrier opens
-    ({!roots_done}). [horizon] caps any advance at the given cycle: a
-    concurrent driver passes the time of its next mutator operation so
-    the coprocessor never runs past an external event. *)
+    foreign wake-up, halting, the cycle after the start barrier opens
+    ({!roots_done}), or — on a bank — the cycle the bank goes
+    {!quiescent}. [horizon] caps any advance at the given cycle: a
+    concurrent driver passes the time of its next mutator operation,
+    the banked driver the end of the bank's superstep, so the
+    coprocessor never runs past an external event. *)
 
 val halted : sim -> bool
 (** All cores have passed the end barrier. *)

@@ -1,12 +1,12 @@
-(* The banked variant machine (Hsgc_coproc.Banked): the banking
-   partition plan, then the load-bearing property — the differential
+(* The banked variant machine (Hsgc_coproc.Banked): the configuration
+   rules, then the load-bearing property — the differential
    semantic-equivalence contract against the dense machine, on the full
    workload grid and on random graphs under delay-class faults. Plus
    the banked driver's own guarantees: byte-determinism at every lane
-   count, quantum invariance of the final heap, and sanitizer silence
-   in strict mode. *)
+   count, identical statistics under naive and default stepping,
+   quantum invariance of the final heap, and sanitizer silence in
+   strict mode. *)
 
-module Partition = Hsgc_sim.Partition
 module Coprocessor = Hsgc_coproc.Coprocessor
 module Banked = Hsgc_coproc.Banked
 module Memsys = Hsgc_memsim.Memsys
@@ -17,22 +17,25 @@ module Heap = Hsgc_heap.Heap
 module Injector = Hsgc_fault.Injector
 
 (* ------------------------------------------------------------------ *)
-(* Banking partition plan                                              *)
+(* Banking configuration rules                                         *)
 (* ------------------------------------------------------------------ *)
+
+let validate ~n_cores ~n_partitions =
+  Banked.validate ~banks:n_partitions (Coprocessor.config ~n_cores ())
 
 let test_banking_validate () =
   let ok ~n_cores ~n_partitions =
-    match Partition.validate_banked ~n_cores ~n_partitions with
+    match validate ~n_cores ~n_partitions with
     | Ok () -> ()
     | Error msg ->
-      Alcotest.failf "validate_banked rejected %d/%d: %s" n_cores n_partitions
+      Alcotest.failf "Banked.validate rejected %d/%d: %s" n_cores n_partitions
         msg
   in
   let err ~n_cores ~n_partitions =
-    match Partition.validate_banked ~n_cores ~n_partitions with
+    match validate ~n_cores ~n_partitions with
     | Error _ -> ()
     | Ok () ->
-      Alcotest.failf "validate_banked accepted %d cores / %d banks" n_cores
+      Alcotest.failf "Banked.validate accepted %d cores / %d banks" n_cores
         n_partitions
   in
   (* 1 core: only the single-bank limit case is valid. *)
@@ -52,10 +55,16 @@ let test_banking_validate () =
   err ~n_cores:0 ~n_partitions:1;
   err ~n_cores:8 ~n_partitions:0;
   (* the rejection message proposes the nearest valid count *)
-  (match Partition.validate_banked ~n_cores:8 ~n_partitions:3 with
+  (match validate ~n_cores:8 ~n_partitions:3 with
   | Error msg ->
     if not (String.length msg > 0) then Alcotest.fail "empty error message"
-  | Ok () -> Alcotest.fail "8/3 accepted")
+  | Ok () -> Alcotest.fail "8/3 accepted");
+  (* sub-object scanning has no banked variant *)
+  match
+    Banked.validate ~banks:2 (Coprocessor.config ~scan_unit:4 ~n_cores:8 ())
+  with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "scan_unit accepted"
 
 let test_banking_plan () =
   let cfg = Coprocessor.config ~n_cores:8 () in
@@ -81,11 +90,11 @@ let test_banking_plan () =
   (* The auto default always validates and divides. *)
   List.iter
     (fun n_cores ->
-      let b = Partition.default_banked_partitions ~n_cores in
-      match Partition.validate_banked ~n_cores ~n_partitions:b with
+      let b = Banked.default_banks ~n_cores in
+      match validate ~n_cores ~n_partitions:b with
       | Ok () -> ()
       | Error msg ->
-        Alcotest.failf "default_banked_partitions %d -> %d: %s" n_cores b msg)
+        Alcotest.failf "default_banks %d -> %d: %s" n_cores b msg)
     [ 1; 2; 3; 4; 5; 6; 7; 8; 12; 16; 24; 32 ]
 
 (* ------------------------------------------------------------------ *)
@@ -240,11 +249,11 @@ let test_default_banks_host_independent () =
       Alcotest.(check int)
         (Printf.sprintf "default banks for %d cores" n_cores)
         banks
-        (Partition.default_banked_partitions ~n_cores))
+        (Banked.default_banks ~n_cores))
     [ (1, 1); (2, 2); (3, 3); (4, 4); (5, 1); (6, 3); (7, 1); (8, 4);
       (9, 3); (12, 4); (16, 4); (24, 4); (32, 4) ];
   let cfg = Coprocessor.config ~n_cores:16 () in
-  let banks = Partition.default_banked_partitions ~n_cores:16 in
+  let banks = Banked.default_banks ~n_cores:16 in
   let run lanes =
     let heap = Workloads.build_heap ~scale:0.03 ~seed:11 Workloads.javac in
     let g, s = Banked.collect ~lanes ~banks cfg heap in
@@ -278,6 +287,91 @@ let test_quantum_invariance () =
         (Printf.sprintf "live words at quantum %d" q)
         g1.Coprocessor.live_words g.Coprocessor.live_words)
     [ 7; 64; 512; 100000 ]
+
+(* ------------------------------------------------------------------ *)
+(* Naive stepping is the banked machine's oracle                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A superstep is [quantum] simulated cycles per bank, so the schedule
+   does not depend on how many cycles one [step] call covers: every
+   statistic but the walls, the lane count and the executed/skipped
+   split is identical under naive stepping and the default engine. *)
+let engine_neutral (g : Coprocessor.gc_stats) =
+  {
+    g with
+    Coprocessor.wall_seconds = 0.;
+    executed_cycles = 0;
+    skipped_cycles = 0;
+  }
+
+let check_naive_parity ctx ~mem ~quantum ~n_cores ~banks build =
+  let run skip =
+    let cfg = Coprocessor.config ~mem ~skip ~n_cores () in
+    let g, s = Banked.collect ~lanes:1 ~quantum ~banks cfg (build ()) in
+    ( engine_neutral g,
+      {
+        s with
+        Banked.lanes = 0;
+        per_bank = Array.map engine_neutral s.Banked.per_bank;
+      } )
+  in
+  let gn, sn = run false and gd, sd = run true in
+  if gn <> gd || sn <> sd then
+    Alcotest.failf
+      "%s: naive and default stepping differ:@.naive   %d cycles@.%a@.\
+       default %d cycles@.%a"
+      ctx gn.Coprocessor.total_cycles Banked.pp_stats sn
+      gd.Coprocessor.total_cycles Banked.pp_stats sd
+
+let test_naive_parity_grid () =
+  List.iter
+    (fun w ->
+      List.iter
+        (fun (n_cores, banks) ->
+          List.iter
+            (fun extra ->
+              let mem =
+                Memsys.with_extra_latency Memsys.default_config extra
+              in
+              List.iter
+                (fun quantum ->
+                  check_naive_parity
+                    (Printf.sprintf "%s %d/%d +%d q=%d" w.Workloads.name
+                       n_cores banks extra quantum)
+                    ~mem ~quantum ~n_cores ~banks
+                    (fun () -> Workloads.build_heap ~scale:0.02 ~seed:3 w))
+                [ 64; 512; 4096 ])
+            [ 0; 20 ])
+        [ (1, 1); (4, 1); (4, 2); (8, 2); (16, 4); (16, 16) ])
+    Workloads.all
+
+let qcheck_naive_parity =
+  QCheck.Test.make
+    ~name:"banked statistics are identical under naive and default stepping"
+    ~count:30
+    (QCheck.make
+       ~print:(fun (wi, seed, scale, (n_cores, banks), extra, quantum) ->
+         Printf.sprintf "%s seed=%d scale=%g %d/%d +%d q=%d"
+           (List.nth Workloads.all wi).Workloads.name seed scale n_cores banks
+           extra quantum)
+       QCheck.Gen.(
+         let* wi = int_bound (List.length Workloads.all - 1) in
+         let* seed = small_nat in
+         let* scale = oneofl [ 0.01; 0.02; 0.04 ] in
+         let* n_cores = int_range 1 16 in
+         let* banks =
+           oneofl
+             (List.filter (fun b -> n_cores mod b = 0) (List.init n_cores succ))
+         in
+         let* extra = oneofl [ 0; 3; 20 ] in
+         let* quantum = oneofl [ 1; 7; 64; 512; 4096 ] in
+         return (wi, seed, scale, (n_cores, banks), extra, quantum)))
+    (fun (wi, seed, scale, (n_cores, banks), extra, quantum) ->
+      let w = List.nth Workloads.all wi in
+      let mem = Memsys.with_extra_latency Memsys.default_config extra in
+      check_naive_parity "random" ~mem ~quantum ~n_cores ~banks (fun () ->
+          Workloads.build_heap ~scale ~seed w);
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Sanitizer silence in strict mode                                    *)
@@ -363,6 +457,9 @@ let suite =
       test_default_banks_host_independent;
     Alcotest.test_case "quantum invariance of the final heap" `Quick
       test_quantum_invariance;
+    Alcotest.test_case "naive parity grid: workloads x shapes x quanta"
+      `Quick test_naive_parity_grid;
+    QCheck_alcotest.to_alcotest qcheck_naive_parity;
     Alcotest.test_case "sanitizer silence in strict mode" `Quick
       test_sanitizer_silence;
     Alcotest.test_case "config rejection" `Quick test_config_rejection;

@@ -264,6 +264,46 @@ let test_fast_path_engages_by_default () =
     Alcotest.failf "plain run took %d step calls, profiled %d: fast paths off"
       plain_steps profiled_steps
 
+(* A bank of the banked machine takes the fast paths too. The bank owns
+   the lower half of the occupied fromspace, so its copy runs meet
+   foreign pointers, which must leave through the outbox exactly as the
+   per-cycle path sends them. *)
+let test_fast_path_engages_on_a_bank () =
+  let mem = Memsys.with_extra_latency Memsys.default_config 20 in
+  let cfg = Coprocessor.config ~mem ~n_cores:1 () in
+  let run ?prof () =
+    let heap = Workloads.build_heap ~scale:0.05 ~seed:7 Workloads.db in
+    let from = Hsgc_heap.Heap.from_space heap in
+    let lo = from.Hsgc_heap.Semispace.base in
+    let hi = lo + ((from.Hsgc_heap.Semispace.free - lo) / 2) in
+    let remote = Coprocessor.remote_create ~bank:0 ~lo ~hi in
+    remote.Coprocessor.rm_allow_finish <- true;
+    let sim = Coprocessor.start ?prof ~remote cfg heap in
+    let steps = ref 0 in
+    while not (Coprocessor.halted sim) do
+      Coprocessor.step sim;
+      incr steps
+    done;
+    let outbox =
+      ( Array.sub remote.Coprocessor.rm_slots 0 remote.Coprocessor.rm_n,
+        Array.sub remote.Coprocessor.rm_children 0 remote.Coprocessor.rm_n )
+    in
+    (Coprocessor.finalize sim, outbox, !steps)
+  in
+  let plain, plain_outbox, plain_steps = run () in
+  let prof = Profiler.create ~n_cores:1 () in
+  Profiler.enable prof;
+  let profiled, profiled_outbox, profiled_steps = run ~prof () in
+  check_stats_equal "db/1 bank +20" ~ref_name:"profiled" ~other_name:"plain"
+    profiled plain;
+  if Array.length (fst plain_outbox) = 0 then
+    Alcotest.fail "the bank routed no foreign pointer";
+  if plain_outbox <> profiled_outbox then
+    Alcotest.fail "the outboxes differ between the two runs";
+  if plain_steps >= profiled_steps then
+    Alcotest.failf "plain bank took %d step calls, profiled %d: fast paths off"
+      plain_steps profiled_steps
+
 (* ------------------------------------------------------------------ *)
 (* Checkpoint/resume                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -448,6 +488,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_with_faults;
     Alcotest.test_case "fast path engages by default" `Quick
       test_fast_path_engages_by_default;
+    Alcotest.test_case "fast path engages on a bank" `Quick
+      test_fast_path_engages_on_a_bank;
     Alcotest.test_case "checkpoint/resume bit-identical" `Quick
       test_checkpoint_resume;
     Alcotest.test_case "traced runs match naive" `Quick
