@@ -319,11 +319,16 @@ type core = {
      0 — always stepped); a sleeping core carries the wake time it armed
      in the wake queue; a halted core carries [max_int]. *)
   mutable wake : int;
-  (* Scan-lock spin parking (fast path only): while this core's
-     bit is set in [parked_mask], the first spin cycle not yet credited
-     to its scan-lock stall counter. The stalls are bulk-credited when
-     the holder's release wakes the core ([wake_parked]). *)
+  (* Sync-block parking (see "Parking sync-block waiters"): while this
+     core's bit is set in [parked_mask], what it waits on ([park_kind])
+     and the first parked cycle not yet credited to its counters. The
+     stalls are bulk-credited when the change it waits for wakes it. *)
   mutable park_cycle : int;
+  mutable park_kind : int;
+  (* The core holding the header lock this core's last failed
+     [Lock_child] acquire ran into: the header-lock waiter's wake
+     source. *)
+  mutable blocker : int;
 }
 
 type t = {
@@ -332,23 +337,38 @@ type t = {
      Determined once at [start]; a per-[step] trace still drops out of
      it for that step. *)
   fast : bool;
-  (* No hook, fault plan or tracer can observe a port: [tick_ports]
-     takes its inlined fast paths. *)
+  (* No fault plan or tracer can observe a port: [tick_ports] and the
+     body-buffer issue take their inlined fast paths. *)
   plain_ports : bool;
   (* Deferred watchdog progress observation of the exclusive
      interpreter: the cycle of the latest progressed cycle not yet
      reported to the watchdog, or -1. Always flushed (-1) outside
      [step], so snapshots never see a pending deferral. *)
   mutable wd_defer : int;
-  (* Cores parked on the contended scan lock (fast path only), as
-     a bit per core id. A parked core is indistinguishable from a
-     per-cycle spinner except in host work: its failed
-     [try_lock] retries read nothing another agent can change while the
-     lock stays held, so they are replayed in bulk — the stall credit
-     happens at the release that wakes it. Always empty outside the
-     fast path ([unpark_all] flushes on any fallback), so per-cycle
-     stepping and snapshots never observe a parked core. *)
+  (* Parked sync-block waiters, as a bit per core id: every parked
+     core, then the three wait kinds — scan-lock spinners, header-lock
+     waiters grouped by the holding core (with the address they wait
+     on), and empty-worklist waiters. A parked core is
+     indistinguishable from a per-cycle waiter except in host work:
+     its failed attempts read nothing another core can change until
+     the change that wakes it, so they are replayed in bulk. Always
+     empty off the parking path ([unpark_all] flushes on any
+     fallback), so per-cycle stepping and snapshots never observe a
+     parked core. *)
   mutable parked_mask : int;
+  mutable scan_waiters : int;
+  hdr_waiters : int array;
+  hdr_wait_addr : int array;
+  mutable empty_waiters : int;
+  (* Empty-worklist waiters parked during the current cycle: their
+     first replayed probe is the next cycle's. *)
+  mutable empty_fresh : int;
+  (* The scan-lock and empty-worklist waiters woken and not yet
+     stepped, or -1: those two kinds are woken one at a time. *)
+  mutable scan_pending : int;
+  mutable empty_pending : int;
+  (* Set when a wake hands some core a turn in the current cycle. *)
+  mutable woke_due : bool;
   (* Stepping scratch (no per-cycle allocation): ids of the cores
      due this cycle, and ids of the cores left awake for the next cycle
      (wake = now + 1 after stepping). The awake list bounds the quiet
@@ -439,11 +459,48 @@ let make_core ~events ~faults ~hooks ~obs id =
     stall_kind = Counters.Scan_lock;
     wake = 0;
     park_cycle = 0;
+    park_kind = 0;
+    blocker = -1;
   }
 
+let busy_buffer () =
+  failwith "coprocessor: issued into a busy buffer (microprogram bug)"
+
 let issue_exn port mem ~now ~addr =
-  if not (Port.issue port mem ~now ~addr) then
-    failwith "coprocessor: issued into a busy buffer (microprogram bug)"
+  if not (Port.issue port mem ~now ~addr) then busy_buffer ()
+
+(* Issue into a body-class buffer ([bl] with [load], else [bs]). With
+   [t.plain_ports] the [Port.issue] → [Memsys.accept_*] chain is
+   inlined: a body transaction never touches the header cache, the
+   comparator array or the FIFO, so its acceptance is exactly the
+   bandwidth check, and no fault can delay it. *)
+let issue_body t (p : Port.t) ~load ~addr =
+  if not t.plain_ports then issue_exn p t.mem ~now:t.clock.Kernel.now ~addr
+  else if p.Port.st <> Port.st_idle then busy_buffer ()
+  else begin
+    let m = t.mem and now = t.clock.Kernel.now in
+    p.Port.issued_at <- now;
+    p.Port.addr <- addr;
+    incr t.events;
+    let cfgm = m.Mem.config in
+    if m.Mem.accepted_this_cycle < cfgm.Mem.bandwidth then begin
+      m.Mem.accepted_this_cycle <- m.Mem.accepted_this_cycle + 1;
+      if load then begin
+        m.Mem.loads <- m.Mem.loads + 1;
+        p.Port.done_at <- now + cfgm.Mem.body_load_latency
+      end
+      else begin
+        m.Mem.stores <- m.Mem.stores + 1;
+        p.Port.done_at <- now + cfgm.Mem.store_latency
+      end;
+      p.Port.st <- Port.st_in_flight;
+      incr t.events
+    end
+    else begin
+      m.Mem.rejected_bandwidth <- m.Mem.rejected_bandwidth + 1;
+      p.Port.st <- Port.st_waiting
+    end
+  end
 
 let stall t core kind =
   (* [Counters.bump] inlined (a stalled core runs this every cycle; the
@@ -467,6 +524,11 @@ let stall t core kind =
    register still disqualifies the cycle from skipping. *)
 let mark t = incr t.events
 
+(* [Port.consume] for a load buffer the caller has just seen ready. *)
+let consume_ready t (p : Port.t) =
+  p.Port.st <- Port.st_idle;
+  incr t.events
+
 (* Write one body word into the tospace copy and advance the slot loop.
    Issues the body store and, when another slot remains, the next body
    load in the same cycle (the cores can initiate several memory
@@ -482,13 +544,14 @@ let store_and_advance t core v =
      the detection-coverage question the harness measures. *)
   t.heap.H.mem.(core.obj_to + Hdr.header_words + core.slot) <-
     Injector.corrupt_body t.faults v;
-  issue_exn core.bs t.mem ~now:(now t) ~addr:(core.obj_to + Hdr.header_words + core.slot);
+  issue_body t core.bs ~load:false
+    ~addr:(core.obj_to + Hdr.header_words + core.slot);
   core.counters.words_copied <- core.counters.words_copied + 1;
   core.slot <- core.slot + 1;
   if core.slot >= core.slot_limit then
     core.state <- (if core.whole then Blacken else Piece_done)
   else if port_idle core.bl then begin
-    issue_exn core.bl t.mem ~now:(now t)
+    issue_body t core.bl ~load:true
       ~addr:(core.obj_from + Hdr.header_words + core.slot);
     core.state <- Body_wait
   end
@@ -640,7 +703,7 @@ let step_root_next t core =
 let step_root_header_wait t core =
   if not (port_ready core.hl) then stall t core Header_load
   else begin
-    Port.consume core.hl;
+    consume_ready t core.hl;
     let r = t.heap.H.roots.(core.root_idx) in
     if t.hooks.Hooks.on then
       t.hooks.Hooks.word_read ~core:core.id ~base:r ~addr:r;
@@ -724,14 +787,14 @@ let step_try_lock_scan t core =
 
 let step_scan_header_wait t core =
   if port_ready core.hl then begin
-    Port.consume core.hl;
+    consume_ready t core.hl;
     begin_object t core ~frame:(t.sb.SB.scan)
   end
   else stall t core Header_load
 
 let step_body_issue_load t core =
   if port_idle core.bl then begin
-    issue_exn core.bl t.mem ~now:(now t)
+    issue_body t core.bl ~load:true
       ~addr:(core.obj_from + Hdr.header_words + core.slot);
     core.state <- Body_wait
   end
@@ -750,7 +813,7 @@ let step_body_wait t core =
       && v >= t.remote.rm_lo
       && v < t.remote.rm_hi
     then begin
-      Port.consume core.bl;
+      consume_ready t core.bl;
       core.child <- v;
       core.state <- Lock_child
     end
@@ -760,7 +823,7 @@ let step_body_wait t core =
          bank-crossing pointer (banked machine only) takes this path
          too — stored stale and recorded in the outbox, to be patched by
          the driver's FIFO arbitration step at a superstep barrier. *)
-      Port.consume core.bl;
+      consume_ready t core.bl;
       if core.slot < Hdr.pi core.h0 && v <> H.null then
         remote_push t.remote
           ~slot:(core.obj_to + Hdr.header_words + core.slot)
@@ -771,8 +834,11 @@ let step_body_wait t core =
   end
 
 let step_lock_child t core =
-  if not (SB.try_lock_header t.sb ~core:core.id ~addr:core.child) then
+  let owner = SB.acquire_header t.sb ~core:core.id ~addr:core.child in
+  if owner >= 0 then begin
+    core.blocker <- owner;
     stall t core Header_lock
+  end
   else begin
     (* Acquisition is free in the uncontended case: the header load is
        initiated in the same cycle. *)
@@ -783,7 +849,7 @@ let step_lock_child t core =
 let step_child_header_wait t core =
   if not (port_ready core.hl) then stall t core Header_load
   else begin
-    Port.consume core.hl;
+    consume_ready t core.hl;
     if t.hooks.Hooks.on then
       t.hooks.Hooks.word_read ~core:core.id ~base:core.child ~addr:core.child;
     let w0 = t.heap.H.mem.(core.child) in
@@ -1106,15 +1172,22 @@ let start ?(obs = Obs.disabled) ?(prof = Prof.disabled) ?remote cfg heap =
   {
     cfg;
     fast =
-      cfg.skip && cfg.sanitize = San.Off && Option.is_none cfg.faults
+      cfg.skip && Option.is_none cfg.faults
       && (not obs.Obs.on) && (not prof.Prof.on)
       && Option.is_none cfg.scan_unit
-      (* The parked-core set is one bit per core in an OCaml int. *)
+      (* The parked-core sets are one bit per core in an OCaml int. *)
       && cfg.n_cores <= 62;
-    plain_ports =
-      cfg.sanitize = San.Off && Option.is_none cfg.faults && not obs.Obs.on;
+    plain_ports = Option.is_none cfg.faults && not obs.Obs.on;
     wd_defer = -1;
     parked_mask = 0;
+    scan_waiters = 0;
+    hdr_waiters = Array.make cfg.n_cores 0;
+    hdr_wait_addr = Array.make cfg.n_cores 0;
+    empty_waiters = 0;
+    empty_fresh = 0;
+    scan_pending = -1;
+    empty_pending = -1;
+    woke_due = false;
     due_ids = Array.make cfg.n_cores 0;
     awake_ids = Array.make cfg.n_cores 0;
     heap;
@@ -1195,11 +1268,12 @@ let quiescent t =
    A core may go to sleep when its next transition depends only on its
    own four memory buffers: every cycle until the earliest buffer event
    would replay identically (same stall, same rejected retries, no
-   shared-state reads that another agent could change). States that
-   poll shared state — locks, the barrier, the scan/free registers —
-   must stay awake: the sync block is combinational and publishes no
-   wake ([SB.next_wake] = None), so the enabling event (another core
-   releasing a lock) has no schedulable time.
+   shared-state reads that another agent could change). A core blocked
+   on the sync block (a lock, an empty worklist) has no such wake time
+   — the block is combinational and publishes none ([SB.next_wake] =
+   None) — so it is parked instead and woken by the core step that
+   changes what it waits on (see "Parking sync-block waiters"). Barrier
+   waits and the remaining poll-states stay awake.
 
    The wake time is the minimum over all four buffers' wake_after, not
    just the state's guard buffer: the core must be awake at every cycle
@@ -1228,6 +1302,17 @@ let stall_of_rp = function
   | 2 -> Counters.Body_load
   | 3 -> Counters.Body_store
   | _ -> Counters.Header_store
+
+(* [Counters.bump_n (stall_of_rp rp)] with the counter picked in place:
+   every sleep books one. *)
+let[@inline] credit_replay (k : Counters.t) rp span =
+  if rp = rp_header_load then
+    k.Counters.header_load <- k.Counters.header_load + span
+  else if rp = rp_body_load then
+    k.Counters.body_load <- k.Counters.body_load + span
+  else if rp = rp_body_store then
+    k.Counters.body_store <- k.Counters.body_store + span
+  else k.Counters.header_store <- k.Counters.header_store + span
 
 let replay_of t c =
   match c.state with
@@ -1286,7 +1371,12 @@ let port_wake c mem ~now =
    order-held header-load wait, which the guard's own {!Port.wake_after}
    already schedules at the blocking store's commit. *)
 let guard_wake c guard mem ~now =
-  let w = Port.wake_after guard mem ~now in
+  (* [Port.wake_after] with its common in-flight case inlined. *)
+  let w =
+    if guard.Port.st = Port.st_in_flight then
+      imax guard.Port.done_at (now + 1)
+    else Port.wake_after guard mem ~now
+  in
   (* [Port.retry_wake] inlined: a non-guard buffer only forces the core
      awake when it is [Waiting] (its acceptance retries touch shared
      state); direct status reads, same as the tick loop. *)
@@ -1351,7 +1441,7 @@ let maybe_sleep t c ~now =
         c.wake <- w;
         Wake_queue.arm t.wakeq ~id:c.id ~time:w;
         let span = w - now - 1 in
-        if rp > 0 then Counters.bump_n c.counters (stall_of_rp rp) span;
+        if rp > 0 then credit_replay c.counters rp span;
         (* The slept cycles replay the same stall (or the quiet Flush
            wait); attribute and trace them exactly as naive stepping
            would have, one bulk credit instead of per-cycle bumps. *)
@@ -1367,7 +1457,8 @@ let maybe_sleep t c ~now =
             ~cycle:(now + 1) ~span;
         if t.sb.SB.busy.(c.id) then
           c.counters.busy_cycles <- c.counters.busy_cycles + span;
-        if Port.order_held c.hl t.mem then Mem.add_rejected_order t.mem span
+        if c.hl.Port.st = Port.st_waiting && Port.order_held c.hl t.mem then
+          Mem.add_rejected_order t.mem span
       end
       else c.wake <- now + 1
     end
@@ -1381,8 +1472,9 @@ let maybe_sleep t c ~now =
    [now + 1]) have their buffers scanned directly. Together they cover
    every core that can act: after a cycle no core's wake is <= [now],
    and a sleeper due at [now + 1] sits in the queue, which then answers
-   [now + 1] (no skip). Parked spinners have no wake of their own — the
-   release that frees them is an action of some awake or queued core.
+   [now + 1] (no skip). Parked waiters have no wake of their own — the
+   change that frees them is an action of some awake or queued core
+   (or of the driver between steps, bounded by the horizon).
    [max_int] means nothing is pending (a would-be deadlock spins cycle
    by cycle, exactly as naive stepping would, until the watchdog trips).
    Bails as soon as some buffer can wake next cycle (no skip possible
@@ -1493,23 +1585,26 @@ let core_next_wake t ~core =
 
    One stepping engine, with fast paths chosen at [start] from what the
    machine can observe about itself ([t.fast]): idle-cycle skipping on,
-   no sanitizer, no fault plan, no tracer or profiler, whole-object
-   scanning, and at most 62 cores (the parked-core set is one bit per
-   core in an OCaml int). Banks of the banked machine qualify too.
-   Under those guards the engine additionally
+   no fault plan, no tracer or profiler, whole-object scanning, and at
+   most 62 cores (each parked-core set is one bit per core in an OCaml
+   int). Banks of the banked machine qualify too, and so do sanitized
+   runs: a parked core skips only replays that emit no hook event, and
+   an exclusive segment steps its core through [step_core], hooks
+   included. Under those guards the engine additionally
 
-   - parks scan-lock spinners and credits their spins in bulk at the
-     release that wakes them;
+   - parks sync-block waiters and credits their waits in bulk at the
+     change that wakes them;
    - runs an exclusive awake core alone to the next foreign wake-up
      ([step_exclusive]), whose body-copy inner loop retires whole
      data-word runs in closed form ([data_run_macro]) — a strict
      generalization of idle-skipping, advancing the clock straight to
-     the next semantic decision point.
+     the next semantic decision point. The macro copies words without
+     reporting them, so it alone needs the sanitizer off.
 
-   Port ticks take their flat-int fast path ([tick_ports]) whenever no
-   hook, fault plan or tracer could observe them. A per-step trace
-   drops out of the fast path for that step; naive stepping
-   ([skip = false]) never enters it.
+   Port ticks and body-buffer issues take their flat-int fast paths
+   ([tick_ports], [issue_body]) whenever no fault plan or tracer could
+   observe them. A per-step trace drops out of the fast path for that
+   step; naive stepping ([skip = false]) never enters it.
 
    The contract is the skipper's: every reported statistic is
    bit-identical to naive stepping; only wall time and the
@@ -1520,8 +1615,9 @@ let core_next_wake t ~core =
    bs) — acceptance order defines the bandwidth and ordering counters.
    [Port.tick] is a no-op unless the buffer is retrying acceptance or an
    in-flight transfer just completed, so the status is checked here
-   with direct field reads first. With [t.plain_ports] (no hook, fault
-   or tracer can observe a port) the fast paths are inlined: body-class
+   with direct field reads first. With [t.plain_ports] (no fault plan
+   or tracer can observe a port; the sanitizer has no port hook) the
+   fast paths are inlined: body-class
    transactions never touch the header cache, the comparator array or
    the FIFO, so their acceptance is exactly the bandwidth check;
    header-class buffers keep the general [Port.tick] on any path that
@@ -1612,109 +1708,242 @@ let tick_ports t c ~now =
     end
   end
 
-(* --- Scan-lock spin parking -------------------------------------------
+(* --- Parking sync-block waiters -------------------------------------
 
-   The dominant multi-core cost is cores spinning on the scan lock while
-   the holder waits out a header-load miss (the lock is held across
-   cycles only in [Scan_header_wait]). A spinning core's cycle is a pure
-   replay: the failed [try_lock] reads only the owner word, the stall
-   bump and (when the worklist is empty) the [saw_empty] probe — and the
-   worklist cannot be empty while the lock is held across cycles,
-   because the held frame sits at [scan < free]. So the fast path
-   parks such spinners ([wake = max_int], bit in [parked_mask]) and
-   replays their spins in bulk when the release wakes them.
+   The sync block grants in static core-index order and schedules
+   nothing on its own, so a core blocked on it retries with no effect
+   until another core changes what it waits on. The fast path parks
+   such a core and credits the replayed retries in bulk at the change
+   that wakes it (docs/PERFORMANCE.md, section 3):
 
-   Release ordering mirrors per-cycle stepping: cores step in index
-   order, so when core [j] releases during its step at cycle [y], a
-   parked core [i > j] re-spins (or acquires) at [y] — it is woken due
-   at [y], and the phase-2 loop reaches it after [j] — while [i < j]
-   already had its (failed) turn at [y] and wakes at [y + 1]. Either
-   way the uncounted spin span is [wake - park_cycle]. *)
+   - scan lock held by another core: held across cycles only in
+     [Scan_header_wait], so the worklist is non-empty and a retry only
+     bumps [scan_lock]. Woken when a step leaves the lock free;
+   - header lock on the child, held by core [j]: a retry bumps
+     [header_lock] and [busy_cycles]. Only [j] can release it, so [j]'s
+     own step wakes its waiters;
+   - empty worklist, termination probe failing: the probe takes and
+     drops the scan lock, earns no stall and counts the cycle in
+     [empty_cycles]. Woken when the probe would do more
+     ([empty_wait_over]); the mutator and the banked driver move [free]
+     and the grant between steps, so this is also checked at step
+     entry.
 
-(* Park the just-stepped core if its cycle was a scan-lock spin against
-   a lock held by another core and no buffer is retrying acceptance
-   (waiting buffers touch the shared bandwidth budget every cycle, so
-   they pin the core awake exactly as in [guard_wake]). In-flight
-   buffers are fine: their completion flip is derived from [done_at]
-   when the core next steps. *)
-let try_park t c ~now =
-  (match c.state with Try_lock_scan -> true | _ -> false)
-  && c.stall_cycle = now
-  && (let o = t.sb.SB.scan_owner in
-      o >= 0 && o <> c.id)
-  && c.hl.Port.st <> Port.st_waiting
+   When core [j]'s step at cycle [y] makes the change, a waiter [i > j]
+   acts at [y] (woken due at [y], the phase-2 walk reaches it after
+   [j]) and [i < j], whose replayed turn at [y] is spent, at [y + 1];
+   the uncredited span is [wake - park_cycle]. Waiters are woken one at
+   a time, the first in that turn order: every other waiter's turn
+   comes after it, so the change is re-checked after its step
+   ([scan_pending]/[empty_pending] hold further wakes until then).
+   Header-lock waiters move to the woken waiter, whose step either takes
+   the lock or meets the new holder, to whom they move.
+
+   A cycle counts as an empty-worklist cycle when a waiter parked
+   before it ([empty_fresh] holds this cycle's) is still parked at its
+   end; the whole-machine jumps credit their spans likewise. A parked
+   core has no buffer retrying acceptance (that touches the shared
+   bandwidth budget); its in-flight transfers complete unobserved and
+   its tick flips them on waking, except that on a bank an
+   empty-worklist waiter must have all four buffers idle, so a parked
+   bank reads as {!quiescent} exactly when a stepped one does. Every
+   wake comes from a step that moved [events] or scan/free, so a cycle
+   waking a core at [y + 1] is never fast-forwarded over. Nothing a
+   parked core skips is a sanitizer event, so parking runs under the
+   sanitizer. *)
+
+let park_scan = 1
+let park_header = 2
+let park_empty = 3
+
+(* An empty-worklist probe would now do more than replay: termination
+   was detected, the worklist is non-empty, the scan lock is held (the
+   prober would stall on it), or the termination probe would pass (a
+   waiter's own busy bit is clear). *)
+let empty_wait_over t =
+  let sb = t.sb in
+  t.finished || sb.SB.scan <> sb.SB.free || sb.SB.scan_owner >= 0
+  || (t.remote.rm_allow_finish && sb.SB.busy_count = 0)
+
+let no_port_waiting c =
+  c.hl.Port.st <> Port.st_waiting
   && c.hs.Port.st <> Port.st_waiting
   && c.bl.Port.st <> Port.st_waiting
   && c.bs.Port.st <> Port.st_waiting
-  && begin
-       c.wake <- max_int;
-       c.park_cycle <- now + 1;
-       t.parked_mask <- t.parked_mask lor (1 lsl c.id);
-       true
-     end
 
-(* The scan lock was observed free right after core [after] stepped at
-   cycle [now]: wake every parked core, crediting the spin stalls its
-   per-cycle replays would have counted. Cores waking at [now + 1] are
-   appended to [t.awake_ids] starting at [count]; returns the new count
-   (callers keep the awake list complete so the no-awake fast-forward
-   cannot jump over a woken spinner). Cores with id > [after] wake due
-   at [now] itself — the caller must still give them their turn this
-   cycle, in index order. *)
-let wake_parked t ~now ~after ~count =
-  let m = t.parked_mask in
-  t.parked_mask <- 0;
-  let cores = t.cores in
-  let n = Array.length cores in
-  let count = ref count in
-  for i = 0 to n - 1 do
-    if m land (1 lsl i) <> 0 then begin
-      let c = Array.unsafe_get cores i in
-      let wake = if i > after then now else now + 1 in
-      let span = wake - c.park_cycle in
-      if span > 0 then begin
-        let k = c.counters in
-        k.Counters.scan_lock <- k.Counters.scan_lock + span;
-        (* The busy bit is owned by the core itself, so it is frozen for
-           the whole parked span (spinners are between objects — the
-           check is defensive, mirroring the sleep credit). *)
-        if t.sb.SB.busy.(c.id) then
-          k.Counters.busy_cycles <- k.Counters.busy_cycles + span
-      end;
-      c.wake <- wake;
-      if wake = now + 1 then begin
-        Array.unsafe_set t.awake_ids !count i;
-        incr count
+let park t c ~now kind =
+  c.wake <- max_int;
+  c.park_cycle <- now + 1;
+  c.park_kind <- kind;
+  t.parked_mask <- t.parked_mask lor (1 lsl c.id)
+
+(* Park the core that just executed cycle [now] if its next turns would
+   replay a failed sync-block attempt (see above). *)
+let[@inline] try_park t c ~now =
+  match c.state with
+  | Try_lock_scan ->
+    if c.stall_cycle = now then
+      (let o = t.sb.SB.scan_owner in
+       o >= 0 && o <> c.id)
+      && no_port_waiting c
+      && begin
+           park t c ~now park_scan;
+           t.scan_waiters <- t.scan_waiters lor (1 lsl c.id);
+           true
+         end
+    else
+      (* The next probe would fail: parked now, right after the step
+         that brought the core here, its first replayed probe is next
+         cycle's ([empty_fresh] keeps this one out of the count). *)
+      no_port_waiting c
+      && (t.remote == remote_disabled
+         || port_idle c.hl && port_idle c.hs && port_idle c.bl
+            && port_idle c.bs)
+      && (not (empty_wait_over t))
+      && begin
+           park t c ~now park_empty;
+           t.empty_waiters <- t.empty_waiters lor (1 lsl c.id);
+           t.empty_fresh <- t.empty_fresh lor (1 lsl c.id);
+           true
+         end
+  | Lock_child ->
+    c.stall_cycle = now && no_port_waiting c
+    && begin
+         let j = c.blocker in
+         park t c ~now park_header;
+         t.hdr_waiters.(j) <- t.hdr_waiters.(j) lor (1 lsl c.id);
+         t.hdr_wait_addr.(j) <- c.child;
+         true
+       end
+  | _ -> false
+
+(* Wake the parked cores in [m] from bit [i] up, as if core [after]
+   just made the change they wait for at cycle [now], crediting the
+   stalls their per-cycle replays would have counted. Cores waking at
+   [now + 1] are appended to [t.awake_ids] from [count] (so the
+   all-asleep fast-forward cannot jump over them); returns the new
+   count. Cores waking at [now] set [t.woke_due]: the caller must still
+   give them their turn this cycle, in index order. Top-level recursion
+   over plain ints: nothing here allocates. *)
+let rec wake_bits t m i ~now ~after count =
+  if m lsr i = 0 then count
+  else if m land (1 lsl i) = 0 then wake_bits t m (i + 1) ~now ~after count
+  else begin
+    let c = Array.unsafe_get t.cores i in
+    let wake = if i > after then now else now + 1 in
+    let span = wake - c.park_cycle in
+    if span > 0 then begin
+      let k = c.counters in
+      if c.park_kind = park_scan then
+        k.Counters.scan_lock <- k.Counters.scan_lock + span
+      else if c.park_kind = park_header then
+        k.Counters.header_lock <- k.Counters.header_lock + span;
+      (* The busy bit is owned by the core itself, so it is frozen for
+         the whole parked span. *)
+      if t.sb.SB.busy.(i) then
+        k.Counters.busy_cycles <- k.Counters.busy_cycles + span
+    end;
+    c.wake <- wake;
+    t.parked_mask <- t.parked_mask land lnot (1 lsl i);
+    if wake = now then begin
+      t.woke_due <- true;
+      wake_bits t m (i + 1) ~now ~after count
+    end
+    else begin
+      Array.unsafe_set t.awake_ids count i;
+      wake_bits t m (i + 1) ~now ~after (count + 1)
+    end
+  end
+
+let rec lowest_bit m i = if m land (1 lsl i) <> 0 then i else lowest_bit m (i + 1)
+
+(* The first core of the non-empty set [m] in turn order after core
+   [after]: the lowest index above it, else (next cycle) the lowest. *)
+let first_after m ~after =
+  let above = m land (-1 lsl (after + 1)) in
+  lowest_bit (if above <> 0 then above else m) 0
+
+(* Whether the step of core [after] (or, at [-1], a change between
+   steps) may have unblocked some parked waiter: the cheap screen in
+   front of [wake_ready], which runs after every step while anything is
+   parked. *)
+let[@inline] may_wake t ~after =
+  (t.scan_waiters <> 0 && t.scan_pending < 0 && t.sb.SB.scan_owner < 0)
+  || (after >= 0 && Array.unsafe_get t.hdr_waiters after <> 0)
+  || (t.empty_waiters <> 0 && t.empty_pending < 0 && empty_wait_over t)
+
+(* Wake whatever the step of core [after] at cycle [now] unblocked
+   ([after = -1]: a change made between steps, checked at step entry).
+   Returns the new awake count as [wake_bits] does. *)
+let wake_ready t ~now ~after ~count =
+  let count =
+    if t.scan_waiters <> 0 && t.scan_pending < 0 && t.sb.SB.scan_owner < 0
+    then begin
+      let m = t.scan_waiters in
+      let i = first_after m ~after in
+      t.scan_waiters <- m lxor (1 lsl i);
+      t.scan_pending <- i;
+      wake_bits t (1 lsl i) i ~now ~after count
+    end
+    else count
+  in
+  let count =
+    if
+      after >= 0
+      && t.hdr_waiters.(after) <> 0
+      && t.sb.SB.header_regs.(after) <> t.hdr_wait_addr.(after)
+    then begin
+      let m = t.hdr_waiters.(after) and addr = t.hdr_wait_addr.(after) in
+      t.hdr_waiters.(after) <- 0;
+      let o = SB.header_owner t.sb ~addr in
+      if o >= 0 then begin
+        t.hdr_waiters.(o) <- t.hdr_waiters.(o) lor m;
+        t.hdr_wait_addr.(o) <- addr;
+        count
+      end
+      else begin
+        (* Free: the first waiter in turn order takes it, and the rest
+           wait on that waiter instead; its step settles which. *)
+        let w = first_after m ~after in
+        let rest = m lxor (1 lsl w) in
+        if rest <> 0 then begin
+          t.hdr_waiters.(w) <- t.hdr_waiters.(w) lor rest;
+          t.hdr_wait_addr.(w) <- addr
+        end;
+        wake_bits t (1 lsl w) w ~now ~after count
       end
     end
-  done;
-  !count
+    else count
+  in
+  if t.empty_waiters <> 0 && t.empty_pending < 0 && empty_wait_over t then begin
+    let m = t.empty_waiters in
+    let i = first_after m ~after in
+    t.empty_waiters <- m lxor (1 lsl i);
+    t.empty_pending <- i;
+    (* A waiter up to [after] had its replayed probe this cycle, unless
+       it parked only this cycle. *)
+    if i <= after && (Array.unsafe_get t.cores i).park_cycle <= now then
+      t.saw_empty <- true;
+    wake_bits t (1 lsl i) i ~now ~after count
+  end
+  else count
 
-(* Flush parked cores before anything outside the fast path can observe
-   them: credit the spins up to (excluding) the current cycle and leave
-   each core due now, exactly the state per-cycle stepping would show
-   between cycles. Used when a traced step leaves the fast path and
-   before snapshotting. *)
+(* Flush parked cores before anything off the fast path can observe
+   them: credit their waits up to (excluding) the current cycle and
+   leave each core due now, exactly the state per-cycle stepping would
+   show between cycles. Used when a traced step leaves the fast path
+   and before snapshotting. *)
 let unpark_all t =
   if t.parked_mask <> 0 then begin
-    let now = t.clock.Kernel.now in
-    let m = t.parked_mask in
-    t.parked_mask <- 0;
-    let cores = t.cores in
-    for i = 0 to Array.length cores - 1 do
-      if m land (1 lsl i) <> 0 then begin
-        let c = Array.unsafe_get cores i in
-        let span = now - c.park_cycle in
-        if span > 0 then begin
-          let k = c.counters in
-          k.Counters.scan_lock <- k.Counters.scan_lock + span;
-          if t.sb.SB.busy.(c.id) then
-            k.Counters.busy_cycles <- k.Counters.busy_cycles + span
-        end;
-        c.wake <- now
-      end
-    done
-  end
+    ignore
+      (wake_bits t t.parked_mask 0 ~now:t.clock.Kernel.now ~after:(-1) 0);
+    t.scan_waiters <- 0;
+    t.empty_waiters <- 0;
+    t.empty_fresh <- 0;
+    Array.fill t.hdr_waiters 0 (Array.length t.hdr_waiters) 0
+  end;
+  t.scan_pending <- -1;
+  t.empty_pending <- -1
 
 (* Closed-form retirement of a data-word copy run — the paper's inner
    loop: consume the loaded word, store it and issue the next load in
@@ -1914,7 +2143,10 @@ let rec exclusive_loop ?horizon t c ~limit ~macro_ok ~roots_done =
     end
     else begin
       t.saw_empty <- false;
+      t.empty_fresh <- 0;
       step_core t c;
+      if c.id = t.scan_pending then t.scan_pending <- -1;
+      if c.id = t.empty_pending then t.empty_pending <- -1;
       (* Executed cycle: inline [Kernel.tick]. *)
       clock.Kernel.now <- n0 + 1;
       clock.Kernel.executed <- clock.Kernel.executed + 1;
@@ -1930,12 +2162,15 @@ let rec exclusive_loop ?horizon t c ~limit ~macro_ok ~roots_done =
         if not (all_halted t) then t.wd_defer <- n0
       end
       else if try_park t c ~now:n0 then begin
-        (* Parked on a lock held by a sleeping foreign core: the spin
+        (* Parked on a lock held by a sleeping foreign core, or on an
+           empty worklist only a sleeping foreign core can refill: the
            cycle gets its watchdog observation, then the whole machine
            is asleep until [limit] (the earliest foreign wake, already
            capped like a sleep target) — jump there, exactly the
-           all-asleep jump [step_cycle] makes after parking. The wake at
-           [max_int] ends the segment at the next recursion check. *)
+           all-asleep jump [step_cycle] makes after parking, unless a
+           bank just went quiescent (its driver stops stepping it
+           here). The wake at [max_int] ends the segment at the next
+           recursion check. *)
         (if !(t.events) = 0 && t.sb.SB.scan = scan0 && t.sb.SB.free = free0
          then begin
            wd_flush t;
@@ -1946,9 +2181,14 @@ let rec exclusive_loop ?horizon t c ~limit ~macro_ok ~roots_done =
            | None -> ()
          end
          else t.wd_defer <- n0);
-        if limit > n0 + 1 then begin
-          clock.Kernel.skipped <- clock.Kernel.skipped + (limit - n0 - 1);
-          clock.Kernel.now <- limit
+        if
+          limit > n0 + 1
+          && not ((not t.remote.rm_allow_finish) && quiescent t)
+        then begin
+          let span = limit - n0 - 1 in
+          clock.Kernel.skipped <- clock.Kernel.skipped + span;
+          clock.Kernel.now <- limit;
+          if t.empty_waiters <> 0 then t.empty_cycles <- t.empty_cycles + span
         end
       end
       else begin
@@ -1972,7 +2212,7 @@ let rec exclusive_loop ?horizon t c ~limit ~macro_ok ~roots_done =
         if slept then begin
           c.wake <- w;
           let span = w - n0 - 1 in
-          if rp > 0 then Counters.bump_n c.counters (stall_of_rp rp) span;
+          if rp > 0 then credit_replay c.counters rp span;
           if t.sb.SB.busy.(c.id) then
             c.counters.busy_cycles <- c.counters.busy_cycles + span;
           if Port.order_held c.hl t.mem then Mem.add_rejected_order t.mem span;
@@ -2037,6 +2277,7 @@ let step_exclusive ?horizon t c ~limit =
   let macro_ok =
     cfgm.Mem.bandwidth >= 2
     && cfgm.Mem.store_latency <= cfgm.Mem.body_load_latency
+    && t.cfg.sanitize = San.Off
   in
   exclusive_loop ?horizon t c ~limit ~macro_ok ~roots_done:t.parallel_phase;
   wd_flush t;
@@ -2048,12 +2289,14 @@ let step_exclusive ?horizon t c ~limit =
 
 (* Post-step bookkeeping for a core that just executed cycle [n0]:
    attribute the cycle to the profiler and the tracer (one
-   load-and-branch each when off), then park the core on the scan lock
-   (only when [park]: the fast path), put it to sleep, or keep it awake
+   load-and-branch each when off), then park the core on the sync block
+   (only when [park]), put it to sleep, or keep it awake
    — an awake core is appended to [t.awake_ids] at [count]. Returns the
    new awake count. Naive stepping keeps every core due every cycle and
    never fast-forwards, so it needs no list. *)
 let settle t c ~n0 ~park ~count =
+  if c.id = t.scan_pending then t.scan_pending <- -1;
+  if c.id = t.empty_pending then t.empty_pending <- -1;
   (* The stall latch carrying [n0] identifies the stall category (it
      was counted exactly once by the step); otherwise the post-step
      state says busy or idle. *)
@@ -2070,14 +2313,15 @@ let settle t c ~n0 ~park ~count =
         ~cycle:n0 ~span:1;
     Obs.set_phase t.obs ~core:c.id ~phase:(phase_of_state c.state) ~cycle:n0
   end;
-  if (not t.cfg.skip) || (park && try_park t c ~now:n0) then count
+  if
+    (not t.cfg.skip)
+    || (park && try_park t c ~now:n0)
+  then count
   else begin
     maybe_sleep t c ~now:n0;
-    if c.wake = n0 + 1 then begin
-      Array.unsafe_set t.awake_ids count c.id;
-      count + 1
-    end
-    else count
+    (* Branch-free append, as in [step]'s due scan. *)
+    Array.unsafe_set t.awake_ids count c.id;
+    count + Bool.to_int (c.wake = n0 + 1)
   end
 
 (* One executed cycle, then at most one whole-machine fast-forward. The
@@ -2093,11 +2337,11 @@ let settle t c ~n0 ~park ~count =
    order) instead of rescanning the core array: a due core's wake
    cannot change before its own phase-2 turn (only its own step or a
    parked-core wake mutates it, and due cores are never parked). The
-   one exception is a scan-lock release waking a *parked* core due this
-   same cycle (id past the releaser): the walk then falls back to a raw
-   index scan for the rest of the cycle, which hands both the woken
-   spinners and the remaining due cores their turns in index order —
-   exactly the per-cycle arbitration. *)
+   one exception is a step waking a *parked* core due this same cycle
+   (id past the waker): the walk then falls back to a raw index scan
+   for the rest of the cycle, which hands both the woken waiters and
+   the remaining due cores their turns in index order — exactly the
+   per-cycle arbitration. *)
 let step_cycle ?trace ?horizon t ~n0 ~d ~park =
   Mem.begin_cycle t.mem ~now:n0;
   (* Stamp the shared hook record so diagnostics and sanitizer findings
@@ -2111,6 +2355,7 @@ let step_cycle ?trace ?horizon t ~n0 ~d ~park =
     tick_ports t (Array.unsafe_get cores (Array.unsafe_get due k)) ~now:n0
   done;
   t.saw_empty <- false;
+  t.empty_fresh <- 0;
   let awake = ref 0 in
   let raw_from = ref (-1) in
   let k = ref 0 in
@@ -2119,33 +2364,40 @@ let step_cycle ?trace ?horizon t ~n0 ~d ~park =
     incr k;
     step_core t c;
     awake := settle t c ~n0 ~park ~count:!awake;
-    (* Any step may have released the scan lock (a grab releases it
-       within the same step); parked spinners re-enter the arbitration
-       at exactly the cycle per-cycle stepping would let them. *)
-    if t.parked_mask <> 0 && t.sb.SB.scan_owner < 0 then begin
-      let woke_due = t.parked_mask lsr (c.id + 1) <> 0 in
-      awake := wake_parked t ~now:n0 ~after:c.id ~count:!awake;
-      if woke_due then raw_from := c.id + 1
+    (* Any step may have made the change a parked waiter waits for;
+       woken waiters re-enter the arbitration at exactly the cycle
+       per-cycle stepping would let them. *)
+    if t.parked_mask <> 0 && may_wake t ~after:c.id then begin
+      t.woke_due <- false;
+      awake := wake_ready t ~now:n0 ~after:c.id ~count:!awake;
+      if t.woke_due then raw_from := c.id + 1
     end
   done;
   if !raw_from >= 0 then
-    (* A release woke parked spinners due this cycle: finish with the
-       raw scan (nested releases further down re-enter it naturally). *)
+    (* A step woke parked waiters due this cycle: finish with the raw
+       scan (nested wakes further down re-enter it naturally). *)
     for i = !raw_from to Array.length cores - 1 do
       let c = Array.unsafe_get cores i in
       if c.wake <= n0 then begin
         step_core t c;
         awake := settle t c ~n0 ~park ~count:!awake;
-        if t.parked_mask <> 0 && t.sb.SB.scan_owner < 0 then
-          awake := wake_parked t ~now:n0 ~after:i ~count:!awake
+        if t.parked_mask <> 0 && may_wake t ~after:i then
+          awake := wake_ready t ~now:n0 ~after:i ~count:!awake
       end
     done;
   if t.obs.Obs.on && Obs.sample_due t.obs ~cycle:n0 then
     Obs.sample t.obs ~cycle:n0
       ~backlog:(t.sb.SB.free - t.sb.SB.scan)
       ~fifo_depth:(Fifo.length t.fifo);
+  (* A waiter still parked at the end of the cycle, and not parked
+     during it, probed the empty worklist in it (see "Parking
+     sync-block waiters"). *)
   let empty_delta =
-    if t.parallel_phase && (not t.finished) && t.saw_empty then 1 else 0
+    if
+      t.parallel_phase && (not t.finished)
+      && (t.saw_empty || t.empty_waiters land lnot t.empty_fresh <> 0)
+    then 1
+    else 0
   in
   t.empty_cycles <- t.empty_cycles + empty_delta;
   (match trace with
@@ -2205,15 +2457,21 @@ let step_cycle ?trace ?horizon t ~n0 ~d ~park =
                 ~backlog:(t.sb.SB.free - t.sb.SB.scan)
                 ~fifo_depth:(Fifo.length t.fifo);
             let span = Kernel.fast_forward t.clock ~target in
+            (* Every parked waiter probes in the replayed cycles. *)
+            let empty_delta =
+              if t.empty_waiters <> 0 && t.parallel_phase && not t.finished
+              then 1
+              else empty_delta
+            in
             credit_skipped t ~cycle:n0 ~span ~empty_delta ~count:!awake
           end
         end
       end
       else if !awake = 0 then begin
-        (* No awake core means no stall latch, no busy bit moving, no
-           worklist probe in the skipped span: sleeping cores were
-           credited when they went to sleep, and parked ones are
-           credited at their release. *)
+        (* No awake core means no stall latch and no busy bit moving in
+           the skipped span: sleeping cores were credited when they
+           went to sleep, and parked ones are credited at their wake.
+           Parked empty-worklist waiters probe in every skipped cycle. *)
         let wake = Wake_queue.next_after t.wakeq ~now:n0 in
         if wake < max_int then begin
           let target =
@@ -2224,7 +2482,9 @@ let step_cycle ?trace ?horizon t ~n0 ~d ~park =
               Obs.catch_up_samples t.obs ~target
                 ~backlog:(t.sb.SB.free - t.sb.SB.scan)
                 ~fifo_depth:(Fifo.length t.fifo);
-            ignore (Kernel.fast_forward t.clock ~target)
+            let span = Kernel.fast_forward t.clock ~target in
+            if t.empty_waiters <> 0 && t.parallel_phase && not t.finished
+            then t.empty_cycles <- t.empty_cycles + span
           end
         end
       end
@@ -2239,24 +2499,28 @@ let step ?trace ?horizon t =
             (t.sb.SB.scan) (t.sb.SB.free)));
   let fast = t.fast && Option.is_none trace in
   (* A per-step trace leaves the fast path for this step: parked cores
-     are a fast-path artifact, so flush them back to due spinners. *)
+     are its artifact, so flush them back to due waiters. *)
   if (not fast) && t.parked_mask <> 0 then unpark_all t;
+  (* The concurrent mutator and the banked driver move [free] and the
+     termination grant between steps. *)
+  if t.parked_mask <> 0 && may_wake t ~after:(-1) then
+    ignore (wake_ready t ~now:n0 ~after:(-1) ~count:0);
   let cores = t.cores in
   let n = Array.length cores in
   let due = t.due_ids in
   let d = ref 0 in
+  (* Branch-free compaction: whether a core is due is close to random
+     from cycle to cycle, so a branch here mispredicts often. *)
   for i = 0 to n - 1 do
-    if (Array.unsafe_get cores i).wake <= n0 then begin
-      Array.unsafe_set due !d i;
-      incr d
-    end
+    Array.unsafe_set due !d i;
+    d := !d + Bool.to_int ((Array.unsafe_get cores i).wake <= n0)
   done;
   if fast && !d = 1 && t.parked_mask = 0 then begin
     (* Exactly one core due and nobody parked: run it alone up to the
        earliest foreign wake (capped by the resume horizon, the
        divergence bound and the cycle budget, so batched segments never
        overshoot a boundary the per-cycle engine observes). Parked cores
-       are excluded because a release inside the segment would have to
+       are excluded because a wake inside the segment would have to
        hand them a same-cycle turn; the per-cycle walk handles that. *)
     let only = Array.unsafe_get due 0 in
     let limit = ref (t.cfg.max_cycles + 1) in
@@ -2341,7 +2605,7 @@ let mutator_evacuate t addr =
        pointer *)
     `Done (H.header1 t.heap addr, 2)
   | White | Black ->
-    if SB.free_lock_owner t.sb <> None || SB.header_locked_by_any t.sb ~addr
+    if SB.free_lock_owner t.sb <> None || SB.header_owner t.sb ~addr >= 0
     then `Wait
     else begin
       let size = Hdr.size w0 in
@@ -2641,9 +2905,9 @@ module Snapshot = struct
       invalid_arg
         "Coprocessor.Snapshot.save: banked-machine banks are not \
          snapshottable";
-    (* Parked spinners are a fast-path scheduling artifact: flush
-       them to plain due cores so the snapshot is engine-independent
-       (the credited stalls are exactly the per-cycle ones). *)
+    (* Parked waiters are a scheduling artifact: flush them to plain
+       due cores so the snapshot is engine-independent (each wait kind's
+       credited stalls are exactly the per-cycle ones). *)
     unpark_all t;
     let wtr = Ckpt.writer ~fingerprint in
     Ckpt.add_section wtr "config" (sec (encode_config t.cfg));

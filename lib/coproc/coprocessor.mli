@@ -55,14 +55,18 @@ type config = {
           too.
 
           With skipping on, {!start} also engages the fast paths when
-          the run allows them: sanitizer [Off], no fault plan, no tracer
-          or profiler enabled, [scan_unit = None], and at most 62 cores
-          (banks of the banked machine included). They park cores
-          spinning on a held scan lock (crediting the spins in bulk at
-          the release), run a lone awake core alone up to the next
-          foreign wake-up, and retire the body-copy inner loop's
-          data-word runs in closed form. Same contract: only wall time and the executed/skipped
-          split move. A step given [?trace] runs per-cycle. *)
+          the run allows them: no fault plan, no tracer or profiler
+          enabled, [scan_unit = None], and at most 62 cores (banks of
+          the banked machine included); the sanitizer may be attached.
+          They park cores blocked on the sync block — on a held scan
+          lock, on a held header lock, or on an empty worklist whose
+          termination probe fails — and credit their waits in bulk at
+          the core step that unblocks them, and they run a lone awake
+          core alone up to the next foreign wake-up. With the sanitizer
+          [Off] they also retire the body-copy inner loop's data-word
+          runs in closed form. Same contract: only wall time and the
+          executed/skipped split move. A step given [?trace] runs
+          per-cycle. *)
   faults : Hsgc_fault.Injector.spec option;
       (** fault-injection plan ({!Hsgc_fault.Injector}). Each simulator
           instance builds a private injector from the spec, so

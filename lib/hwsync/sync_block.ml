@@ -146,7 +146,16 @@ let claim_free t ~core n =
 let scan_lock_owner t = if t.scan_owner = -1 then None else Some t.scan_owner
 let free_lock_owner t = if t.free_owner = -1 then None else Some t.free_owner
 
-let try_lock_header t ~core ~addr =
+(* The comparator array: the first core other than [skip] whose
+   header-lock register holds [addr], or -1. Stops at the first match —
+   at most one core can hold a given header. Top-level recursion over
+   plain ints, so the lookup allocates nothing. *)
+let rec match_from (regs : int array) ~(addr : int) ~skip i n =
+  if i >= n then -1
+  else if i <> skip && Array.unsafe_get regs i = addr then i
+  else match_from regs ~addr ~skip (i + 1) n
+
+let acquire_header t ~core ~addr =
   check_core t core;
   if addr = 0 then
     protocol_fail t ~core ~addr Diag.Null_header
@@ -157,22 +166,22 @@ let try_lock_header t ~core ~addr =
   if t.free_owner = core then
     protocol_fail t ~core ~addr Diag.Lock_order
       "lock-order violation acquiring header after free";
-  let conflict = ref false in
   (* With no header lock held anywhere the comparator cannot match; the
      count makes the common uncontended acquire O(1). *)
-  if t.hdr_locked_count > 0 then
-    for other = 0 to t.n - 1 do
-      if other <> core && t.header_regs.(other) = addr then conflict := true
-    done;
-  if !conflict then false
-  else begin
+  let owner =
+    if t.hdr_locked_count = 0 then -1
+    else match_from t.header_regs ~addr ~skip:core 0 t.n
+  in
+  if owner < 0 then begin
     t.header_regs.(core) <- addr;
     t.hdr_locked_count <- t.hdr_locked_count + 1;
     if t.hooks.Hooks.on then
       t.hooks.Hooks.lock_acquired ~lock:Hooks.header_lock ~core ~addr;
-    if t.obs.Obs.on then Obs.lock_acquired t.obs ~lock:Obs.lock_header ~core;
-    true
-  end
+    if t.obs.Obs.on then Obs.lock_acquired t.obs ~lock:Obs.lock_header ~core
+  end;
+  owner
+
+let try_lock_header t ~core ~addr = acquire_header t ~core ~addr < 0
 
 let unlock_header t ~core =
   if t.header_regs.(core) = 0 then
@@ -188,15 +197,9 @@ let header_lock_of t ~core =
   let a = t.header_regs.(core) in
   if a = 0 then None else Some a
 
-let header_locked_by_any t ~addr =
-  if t.hdr_locked_count = 0 then false
-  else begin
-    let hit = ref false in
-    for core = 0 to t.n - 1 do
-      if t.header_regs.(core) = addr then hit := true
-    done;
-    !hit
-  end
+let header_owner t ~addr =
+  if t.hdr_locked_count = 0 then -1
+  else match_from t.header_regs ~addr ~skip:(-1) 0 t.n
 
 let set_busy t ~core b =
   check_core t core;
@@ -251,8 +254,10 @@ let barrier_arrive t ~core =
 
 (* The SB is combinational: locks, busy bits and the barrier all react
    to core actions within the same cycle and schedule nothing on their
-   own. Under the event-driven kernel's contract that means it never
-   publishes a wake — cores blocked on SB state must poll every cycle. *)
+   own, so it never publishes a wake time. A core blocked on SB state
+   does not poll for it either: the coprocessor parks it and the core
+   action that changes the state it waits on (a release, a [free]
+   claim, a busy bit clearing) wakes it. *)
 let next_wake (_ : t) : int option = None
 
 let assert_no_locks t ~core =

@@ -113,18 +113,24 @@ val free_lock_owner : t -> int option
 
 (** {2 Header locks} *)
 
-val try_lock_header : t -> core:int -> addr:int -> bool
+val acquire_header : t -> core:int -> addr:int -> int
 (** Write [addr] into the core's header-lock register unless another
-    core's register already holds [addr]. A core can hold at most one
-    header lock; acquiring while holding one is an error. *)
+    core's register already holds [addr]. Returns [-1] when the lock
+    was taken, otherwise the index of the core holding it — one
+    comparator pass answers both the grant and who to wait for. A core
+    can hold at most one header lock; acquiring while holding one is an
+    error. *)
+
+val try_lock_header : t -> core:int -> addr:int -> bool
+(** [acquire_header] as a bool: [true] = taken. *)
 
 val unlock_header : t -> core:int -> unit
 
 val header_lock_of : t -> core:int -> int option
 
-val header_locked_by_any : t -> addr:int -> bool
-(** Is [addr] currently in any core's header-lock register? (Used by the
-    main processor's read barrier in concurrent mode.) *)
+val header_owner : t -> addr:int -> int
+(** The core whose header-lock register holds [addr], or [-1] (also
+    the main processor's read-barrier check in concurrent mode). *)
 
 (** {2 Busy bits and termination} *)
 
@@ -148,8 +154,9 @@ val next_wake : t -> int option
 (** Always [None]: the SB is combinational — locks, busy bits and the
     barrier change only in response to core actions in the same cycle,
     never on a self-scheduled future event. A core blocked on SB state
-    (a lock, the barrier) must therefore stay awake and poll every
-    cycle; only cores blocked on memory responses may sleep. *)
+    therefore has no wake time of its own: the coprocessor parks it
+    (scan lock, header lock, empty worklist) and the core action that
+    changes the state it waits on wakes it. *)
 
 (** {2 Invariant checking} *)
 

@@ -1,6 +1,6 @@
 (* Tests for the default stepping engine: event-driven sleeps and
    idle-cycle skipping plus the fast paths [start] engages when the run
-   allows them — scan-lock spinner parking, the exclusive-core
+   allows them — sync-block waiter parking, the exclusive-core
    interpreter and the closed-form data-run macro.
 
    The engine's contract is the equivalence invariant against naive
@@ -368,7 +368,71 @@ let test_checkpoint_resume () =
     (fun () -> Workloads.build_heap ~scale:0.05 ~seed:11 Workloads.db);
   (* Single core: nearly every step is one exclusive segment. *)
   check_resume "exclusive db/1" ~n_cores:1 ~mem:lat20 ~fractions:[ 0.5 ]
-    (fun () -> Workloads.build_heap ~scale:0.05 ~seed:11 Workloads.db)
+    (fun () -> Workloads.build_heap ~scale:0.05 ~seed:11 Workloads.db);
+  (* The other two wait kinds: javac/16 queues cores on contended
+     header locks, compress/16 leaves most cores waiting on an empty
+     worklist while one copies a large object. A snapshot must credit
+     each parked core's wait to its own counter ([header_lock], or
+     nothing but the empty-worklist cycles). *)
+  check_resume "header-lock waiters javac/16" ~n_cores:16
+    ~mem:Memsys.default_config ~fractions:[ 0.25; 0.5; 0.75 ]
+    (fun () -> Workloads.build_heap ~scale:0.05 ~seed:11 Workloads.javac);
+  check_resume "empty-worklist waiters compress/16" ~n_cores:16
+    ~mem:Memsys.default_config ~fractions:[ 0.25; 0.5; 0.75 ]
+    (fun () -> Workloads.build_heap ~scale:0.05 ~seed:11 Workloads.compress)
+
+(* ------------------------------------------------------------------ *)
+(* The sanitizer rides the fast path                                   *)
+(* ------------------------------------------------------------------ *)
+
+let test_sanitized_parity () =
+  (* The fast path runs under the sanitizer, all but the data-run
+     macro: a parked core's failed lock attempts emit no hook event, its
+     failed termination probe's acquire/release pair leaves the
+     checker's state unchanged, and an exclusive segment steps its core
+     normally. So a sanitized default run must match naive stepping on
+     every counter and stay silent, on configurations that park every
+     wait kind and, at one core, run exclusive segments. *)
+  List.iter
+    (fun (w, n_cores) ->
+      List.iter
+        (fun extra ->
+          let ctx =
+            Printf.sprintf "%s/%d +%d sanitized" w.Workloads.name n_cores extra
+          in
+          let mem = Memsys.with_extra_latency Memsys.default_config extra in
+          let build () = Workloads.build_heap ~scale:0.05 ~seed:13 w in
+          let naive_heap = build () in
+          let naive =
+            Coprocessor.collect
+              (Coprocessor.config ~mem ~skip:false ~n_cores ())
+              naive_heap
+          in
+          let san_heap = build () in
+          let san =
+            Coprocessor.collect
+              (Coprocessor.config ~mem ~sanitize:Hsgc_sanitizer.Sanitizer.Check
+                 ~n_cores ())
+              san_heap
+          in
+          check_stats_equal ctx ~ref_name:"naive" ~other_name:"sanitized" naive
+            san;
+          if san.Coprocessor.sanitizer_total <> 0 then
+            Alcotest.failf "%s: %d sanitizer findings" ctx
+              san.Coprocessor.sanitizer_total;
+          if
+            not
+              (Verify.equal_snapshot (Verify.snapshot naive_heap)
+                 (Verify.snapshot san_heap))
+          then Alcotest.failf "%s: post-heap differs from naive" ctx)
+        [ 0; 20 ])
+    [
+      (Workloads.javac, 16);
+      (Workloads.cup, 8);
+      (Workloads.compress, 16);
+      (Workloads.jflex, 16);
+      (Workloads.db, 1);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Traced runs                                                         *)
@@ -492,6 +556,8 @@ let suite =
       test_fast_path_engages_on_a_bank;
     Alcotest.test_case "checkpoint/resume bit-identical" `Quick
       test_checkpoint_resume;
+    Alcotest.test_case "sanitized default run matches naive" `Quick
+      test_sanitized_parity;
     Alcotest.test_case "traced runs match naive" `Quick
       test_traced_runs_match_naive;
     Alcotest.test_case "concurrent mutator parity naive vs default" `Quick

@@ -596,6 +596,40 @@ let test_hot_loop_allocation_free () =
       "hot loop allocates %.4f minor words per executed cycle (budget 0.05)"
       per_cycle
 
+let test_step_loop_allocation_free_contended () =
+  (* The configuration above never waits on a lock or an empty
+     worklist; these three park every sync-block wait kind — header-lock
+     waiters (javac/16), scan-lock spinners (cup/8, at a scale where its
+     header FIFO overflows and grabs hold the scan lock across header
+     loads) and empty-worklist waiters (compress/16). The stepping loop
+     alone is measured, with [start]/[finalize] setup excluded, against
+     the bench's allocation-free budget
+     ([Perf.loop_words_per_cycle_budget]). *)
+  List.iter
+    (fun (w, n_cores, scale) ->
+      let heap = Workloads.build_heap ~scale ~seed:5 w in
+      let sim = Coprocessor.start (Coprocessor.config ~n_cores ()) heap in
+      let w0 = Gc.minor_words () in
+      while not (Coprocessor.halted sim) do
+        Coprocessor.step sim
+      done;
+      let words = Gc.minor_words () -. w0 in
+      let per_cycle =
+        words /. float_of_int (Coprocessor.executed_cycles sim)
+      in
+      ignore (Coprocessor.finalize sim);
+      if per_cycle > Hsgc_core.Perf.loop_words_per_cycle_budget then
+        Alcotest.failf
+          "%s/%d: stepping loop allocates %.4f minor words per executed \
+           cycle (budget %.3f)"
+          w.Workloads.name n_cores per_cycle
+          Hsgc_core.Perf.loop_words_per_cycle_budget)
+    [
+      (Workloads.javac, 16, 0.2);
+      (Workloads.cup, 8, 1.0);
+      (Workloads.compress, 16, 0.2);
+    ]
+
 let test_concurrent_skip_equivalent () =
   (* The concurrent engine caps every skip at the next mutator operation,
      so mutator interleavings — and with them every statistic — must be
@@ -702,6 +736,8 @@ let suite =
       test_pieces_accounting_closes;
     Alcotest.test_case "hot loop is allocation-free" `Quick
       test_hot_loop_allocation_free;
+    Alcotest.test_case "stepping loop allocation-free on contended configs"
+      `Quick test_step_loop_allocation_free_contended;
     Alcotest.test_case "skip equivalent on workloads" `Slow
       test_skip_equivalent_on_workloads;
     Alcotest.test_case "skip equivalent latency-bound" `Quick
